@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bloch import BlochState, SimParams
 from .engine import EnsembleResult, RunConfig, StepRecord
@@ -53,6 +52,8 @@ def drift_field(params: SimParams, g: float, grid_size: int = 72) -> DriftField:
     the conditional record mixture; fixed points are the exact zeros of
     1 + cos(phi) - g.
     """
+    from scipy.special import ndtr
+
     if grid_size < 4:
         raise ValueError(f"grid_size must be >= 4, got {grid_size}")
     j = np.arange(1, grid_size + 1)

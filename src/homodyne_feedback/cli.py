@@ -21,7 +21,6 @@ from .fock import CutoffError, SourceSpec, delta_n_pmf, gaussian_distance, skell
 from .measurement import SamplingMode, sample_records
 from .streams import CounterStream
 from .svgfig import decay_svg, drift_field_svg, histogram_svg
-from .validation import format_report, run_all
 
 CSV_HEADER = "step,time,mean_sx,mean_sz,var_sx,var_sz,se_sx,se_sz"
 TRAJ_HEADER = "traj,step,time,phi,sx,sz,delta_n,theta"
@@ -113,7 +112,7 @@ def effective(args, spec: dict[str, tuple]):
         attr = key.replace("-", "_")
         flag_value = getattr(args, attr, None)
         if flag_value is not None:
-            out[key] = flag_value if conv is None else flag_value
+            out[key] = flag_value
         elif key in file_values:
             out[key] = conv(file_values[key]) if conv else file_values[key]
         else:
@@ -334,6 +333,10 @@ def cmd_figure(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # imported here: the acceptance suite and its scipy dependency are
+    # needed by this subcommand only
+    from .validation import format_report, run_all
+
     results = run_all()
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1

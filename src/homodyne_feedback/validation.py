@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import feedback as fb
 from .bloch import BlochState, SimParams, apply_rotation, rotation_angle
@@ -127,7 +127,7 @@ def check_weak_measurement_equivalence() -> CheckResult:
     O(gamma tau) (per-decade ratio in [5, 20]) while the updates themselves
     scale as O(sqrt(gamma tau))."""
     state = BlochState(0.7)
-    quantiles = norm.ppf(np.arange(1, 200) / 200.0)
+    quantiles = ndtri(np.arange(1, 200) / 200.0)
     diffs = []
     sizes = []
     for gt in (1e-2, 1e-3, 1e-4):

@@ -6,8 +6,8 @@ pass/fail report per criterion (the same lines ``hdsim validate`` prints).
 
 import pytest
 
+from homodyne_feedback import engine, validation
 from homodyne_feedback import feedback as fb
-from homodyne_feedback import validation
 
 CRITERIA = [
     "fixed-point exactness",
@@ -43,5 +43,5 @@ def test_report_covers_all_criteria(report):
 def test_harness_detects_injected_gain_error(monkeypatch):
     # A 5% miscalibration of the applied feedback gain must break the
     # fixed-point criterion; if it does not, the check has no teeth.
-    monkeypatch.setattr(fb, "debug_gain_scale", 1.05)
+    monkeypatch.setattr(engine, "gain", lambda p: 1.05 * fb.gain(p))
     assert not validation.check_fixed_points().passed

@@ -1,8 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import homodyne_feedback
+from homodyne_feedback import validation
 from homodyne_feedback.cli import CSV_HEADER, TRAJ_HEADER, main
 
 
@@ -254,3 +260,29 @@ class TestFigure:
         assert main(
             ["figure", "--kind", "mystery", "--out", str(tmp_path / "x.svg")]
         ) == 2
+
+
+class TestImportCost:
+    @pytest.mark.parametrize("module", ["homodyne_feedback.cli", "homodyne_feedback"])
+    def test_import_loads_no_scipy(self, module):
+        # scipy costs about a second per launch; only the code that uses it
+        # (oracle arithmetic, drift field, validate) may import it
+        src = str(Path(homodyne_feedback.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = (
+            f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("passed,code", [(True, 0), (False, 1)])
+    def test_validate_resolves_its_imports(self, monkeypatch, capsys, passed, code):
+        stub = [validation.CheckResult("stub criterion", passed, "detail")]
+        monkeypatch.setattr(validation, "run_all", lambda: stub)
+        assert main(["validate"]) == code
+        assert capsys.readouterr().out == validation.format_report(stub) + "\n"

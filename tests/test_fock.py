@@ -1,9 +1,13 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import poisson
 
+from homodyne_feedback import fock
 from homodyne_feedback import (
     CutoffError,
     SourceSpec,
@@ -13,6 +17,52 @@ from homodyne_feedback import (
     skellam_pmf,
 )
 from homodyne_feedback.fock import Pmf, coherent_amplitudes, default_cutoff
+
+
+def reference_beamsplitter(lo_alpha, source, cutoff=None):
+    """Scalar-loop expansion over (nb, ell, na), one row of j at a time: the
+    summation order the vectorised beamsplitter_output must reproduce."""
+    if cutoff is None:
+        cutoff = default_cutoff(lo_alpha)
+    a = coherent_amplitudes(lo_alpha, cutoff)
+    b = fock._source_amplitudes(source)
+
+    na_max = cutoff
+    nb_max = len(b) - 1
+    dim = na_max + nb_max + 1
+    out = np.zeros((dim, dim), dtype=complex)
+
+    lf = gammaln(np.arange(dim + 1) + 1.0)  # log(n!)
+    half_ln2 = 0.5 * math.log(2.0)
+    with np.errstate(divide="ignore"):
+        log_a = np.log(np.abs(a))
+
+    for nb in range(nb_max + 1):
+        if b[nb] == 0:
+            continue
+        src_mag = abs(b[nb])
+        src_phase = b[nb] / src_mag
+        log_src = math.log(src_mag)
+        for ell in range(nb + 1):
+            sign = -1.0 if (nb - ell) % 2 else 1.0
+            log_c_nb = lf[nb] - lf[ell] - lf[nb - ell]
+            for na in range(na_max + 1):
+                if not np.isfinite(log_a[na]):
+                    continue
+                j = np.arange(na + 1)
+                m = j + ell
+                r = na + nb - m
+                log_term = (
+                    log_a[na]
+                    + log_src
+                    - (na + nb) * half_ln2
+                    + (lf[na] - lf[j] - lf[na - j])  # C(na, j)
+                    + log_c_nb
+                    + 0.5 * (lf[m] + lf[r])
+                    - 0.5 * (lf[na] + lf[nb])
+                )
+                out[m, r] += sign * src_phase * np.exp(log_term)
+    return out
 
 
 class TestSourceSpec:
@@ -68,6 +118,29 @@ class TestBeamsplitter:
     def test_cutoff_too_small(self):
         with pytest.raises(CutoffError):
             beamsplitter_output(6.0, SourceSpec.vacuum(), cutoff=10)
+
+
+QUBIT = SourceSpec.qubit(0.6, 0.8 * cmath.exp(0.3j))
+COHERENT = SourceSpec.coherent(1.5 * cmath.exp(0.7j))
+
+
+class TestBeamsplitterBitIdentity:
+    @pytest.mark.parametrize(
+        "alpha,source",
+        [(a, s) for s in (SourceSpec.vacuum(), QUBIT) for a in (2.0, 6.0, 14.0)]
+        + [(2.0, COHERENT), (4.0, COHERENT)],
+    )
+    def test_matches_scalar_loop(self, alpha, source):
+        field = beamsplitter_output(alpha, source)
+        assert np.array_equal(field.amplitudes, reference_beamsplitter(alpha, source))
+
+    def test_explicit_cutoff_spanning_several_blocks(self):
+        cutoff = 300
+        assert (cutoff + 1) * (cutoff + 2) // 2 > fock._BLOCK_PAIRS
+        field = beamsplitter_output(3.0, QUBIT, cutoff=cutoff)
+        assert np.array_equal(
+            field.amplitudes, reference_beamsplitter(3.0, QUBIT, cutoff=cutoff)
+        )
 
 
 class TestDeltaNPmf:
@@ -133,6 +206,17 @@ class TestSkellam:
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
             skellam_pmf(0, -1.0, 1.0)
+
+    def test_far_tail_underflow_is_silent(self):
+        # mu = 450 is the vacuum case of alpha = 30; the Bessel factor
+        # underflows to 0 far in the tail, which must give p = 0 quietly
+        k = np.arange(-1300, 1301)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = skellam_pmf(k, 450.0, 450.0)
+        assert np.all(np.isfinite(p))
+        assert p[0] == 0.0 and p[-1] == 0.0
+        assert p.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestGaussianDistance:
