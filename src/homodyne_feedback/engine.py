@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochState, SimParams, apply_rotation, rotation_angle
+from .bloch import BlochState, SimParams, normalize_angle, rotation_angle
 from .feedback import FeedbackPolicy, NO_FEEDBACK, gain
 from .measurement import MeasurementRecord, SamplingMode, sample_record
 from .streams import CounterStream, box_muller, raw_words, stream_key, to_unit
@@ -28,8 +29,17 @@ _TWO_PI = 2.0 * math.pi
 # reduction) do not depend on the worker count.
 BATCH_SIZE = 4096
 
-# Upper bound on precomputed random words held at once, per batch.
-_WORD_BUDGET = 1 << 22
+# Upper bound on random words precomputed at once, per batch.  At BATCH_SIZE
+# lanes that is a chunk of 8 steps: each word, uniform and normal array is
+# 256 KiB, so a chunk's RNG arrays and their temporaries fit a 2 MiB L2
+# cache, and a worker's memory does not grow with n_steps.  Much larger
+# chunks stream tens of MB through memory and run slower.
+# Chunking never changes a value: word k of a stream depends only on (key, k).
+_WORD_BUDGET = 1 << 15
+
+# Warn above this per-step rotation scale, sqrt(gamma*tau) * max|1 + s_z - g|:
+# a typical |theta| of that size is no longer a weak measurement.
+ANGLE_SCALE_WARN = 0.3
 
 
 @dataclass(frozen=True)
@@ -53,6 +63,13 @@ class RunConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not math.isfinite(self.n_steps * self.params.tau):
             raise ValueError("n_steps * tau must be finite")
+        scale = _angle_scale(self.params, gain(self.policy))
+        if scale > ANGLE_SCALE_WARN:
+            warnings.warn(
+                f"per-step rotation scale sqrt(gamma*tau)*max(|2-g|, |g|) = {scale:.3g} "
+                f"is above {ANGLE_SCALE_WARN}; the weak-measurement picture breaks down",
+                stacklevel=3,
+            )
 
 
 @dataclass(frozen=True)
@@ -94,6 +111,12 @@ def sim_threads() -> int:
     if n < 1:
         raise ValueError(f"SIM_THREADS must be a positive integer, got {raw!r}")
     return n
+
+
+def _angle_scale(params: SimParams, g: float) -> float:
+    """Largest |theta| per unit |delta_n / alpha|: sqrt(gamma*tau) times
+    max over s_z in [-1, 1] of |1 + s_z - g|."""
+    return math.sqrt(params.gamma * params.tau) * max(abs(2.0 - g), abs(g))
 
 
 def derive_stream(seed: int, trajectory_index: int) -> CounterStream:
@@ -140,6 +163,7 @@ def _advance(phi, keys, params, g, conditional, n_steps, collect=None):
     alpha = params.alpha
     sqrt_gt = math.sqrt(params.gamma * params.tau)
     mu = sqrt_gt * alpha
+    scale = _angle_scale(params, g)
     stride = 3 if conditional else 2
 
     if collect == "history":
@@ -148,8 +172,10 @@ def _advance(phi, keys, params, g, conditional, n_steps, collect=None):
         phi_h = np.empty((n_steps, n))
     elif collect == "stats":
         sums = np.empty((n_steps + 1, 4))
-        sx = np.sin(phi)
-        sz = np.cos(phi)
+    # s_x, s_z of the current angles: the next step's inputs and the stats
+    sx = np.sin(phi)
+    sz = np.cos(phi)
+    if collect == "stats":
         sums[0] = (sx.sum(), (sx * sx).sum(), sz.sum(), (sz * sz).sum())
 
     chunk = max(1, min(n_steps, _WORD_BUDGET // max(1, n)))
@@ -169,25 +195,31 @@ def _advance(phi, keys, params, g, conditional, n_steps, collect=None):
                 to_unit(raw_words(keys, base)),
                 to_unit(raw_words(keys, base + np.uint64(1))),
             )
+        # |delta_n / alpha| <= sqrt_gt + |z|.  One turn of wrapping keeps
+        # phi in (-pi, pi] while |theta| <= 2 pi; only chunks whose draws
+        # could rotate by more than pi check every lane.
+        full_wrap = scale * (sqrt_gt + np.abs(z).max()) > _PI
         for i, k in enumerate(range(k0, k1)):
-            s_x = np.sin(phi)
-            s_z = np.cos(phi)
             if conditional:
-                center = np.where(u[i] < 0.5 * (1.0 + s_x), mu, -mu)
+                center = np.where(u[i] < 0.5 * (1.0 + sx), mu, -mu)
                 dn = center + alpha * z[i]
             else:
                 dn = alpha * z[i]
-            theta = sqrt_gt * (dn / alpha) * (1.0 + s_z - g)
-            phi = phi + theta
-            phi = np.where(phi > _PI, phi - _TWO_PI, phi)
-            phi = np.where(phi <= -_PI, phi + _TWO_PI, phi)
+            theta = sqrt_gt * (dn / alpha) * (1.0 + sz - g)
+            phi += theta
+            np.subtract(phi, _TWO_PI, out=phi, where=phi > _PI)
+            np.add(phi, _TWO_PI, out=phi, where=phi <= -_PI)
+            if full_wrap:
+                # the scalar path's BlochState normalization, lane by lane
+                for j in np.flatnonzero((phi > _PI) | (phi <= -_PI)):
+                    phi[j] = normalize_angle(float(phi[j]))
+            sx = np.sin(phi)
+            sz = np.cos(phi)
             if collect == "history":
                 dn_h[k] = dn
                 th_h[k] = theta
                 phi_h[k] = phi
             elif collect == "stats":
-                sx = np.sin(phi)
-                sz = np.cos(phi)
                 sums[k + 1] = (sx.sum(), (sx * sx).sum(), sz.sum(), (sz * sz).sum())
 
     if collect == "history":

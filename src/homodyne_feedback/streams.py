@@ -23,9 +23,12 @@ _TWO_PI = 2.0 * np.pi
 def _mix(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer on uint64 data (vectorized, modular arithmetic)."""
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z = z ^ (z >> np.uint64(30))  # fresh array: the rest works in place
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def stream_key(seed, index) -> np.ndarray:
@@ -51,12 +54,22 @@ def raw_words(key, counters) -> np.ndarray:
 
 def to_unit(words: np.ndarray) -> np.ndarray:
     """Map 64-bit words to floats in the open interval (0, 1)."""
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_M53
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= _TWO_M53
+    return u
 
 
 def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Standard normal deviates from two unit uniforms (cosine branch only)."""
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+    """Standard normal deviates from two arrays of unit uniforms (cosine
+    branch only)."""
+    r = np.log(u1)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    c = _TWO_PI * u2
+    np.cos(c, out=c)
+    r *= c
+    return r
 
 
 class CounterStream:

@@ -1,5 +1,6 @@
+import hashlib
 import math
-import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from homodyne_feedback import (
     INVERSION,
     NO_FEEDBACK,
     BlochState,
+    FeedbackPolicy,
     RunConfig,
     SamplingMode,
     SimParams,
@@ -19,6 +21,8 @@ from homodyne_feedback import (
     run_trajectory_arrays,
     step,
 )
+from homodyne_feedback import engine
+from homodyne_feedback.streams import stream_key
 
 PARAMS = SimParams(gamma=1.0, tau=1e-3, alpha=100.0)
 
@@ -64,6 +68,23 @@ class TestStep:
             assert state.phi == r.state_after.phi
             assert rec.delta_n == r.delta_n
             assert rec.theta == r.theta
+
+    def test_large_angles_wrap_fully_and_match_batched(self):
+        # custom:10 at gamma*tau = 0.1 is allowed (it only warns) and drives
+        # |theta| past 2 pi, beyond what a single-turn wrap can undo
+        with pytest.warns(UserWarning):
+            params = SimParams(gamma=1.0, tau=0.1, alpha=100.0)
+            config = make_config(
+                params=params, policy=FeedbackPolicy.custom(10.0), n_steps=2000, seed=3
+            )
+        dn, th, phi = run_trajectory_arrays(config, 0)
+        assert np.abs(th).max() > 2.0 * math.pi
+        assert np.all((phi > -math.pi) & (phi <= math.pi))
+        rng = derive_stream(3, 0)
+        state = config.initial
+        for k in range(config.n_steps):
+            state, rec = step(state, params, config.policy, config.mode, rng)
+            assert (state.phi, rec.delta_n, rec.theta) == (phi[k], dn[k], th[k]), k
 
 
 class TestRunTrajectory:
@@ -138,23 +159,35 @@ class TestRunEnsemble:
         slack = 2.0 * (res.stderr_sz[:-1] + res.stderr_sz[1:])
         assert np.all(np.diff(res.mean_sz) <= slack)
 
-    def test_thread_count_does_not_change_result(self):
+    def test_thread_count_does_not_change_result(self, monkeypatch):
         config = make_config(n_trajectories=10_000, n_steps=30, seed=6)
-        saved = os.environ.get("SIM_THREADS")
         results = {}
-        try:
-            for t in ("1", "4"):
-                os.environ["SIM_THREADS"] = t
-                results[t] = run_ensemble(config)
-        finally:
-            if saved is None:
-                os.environ.pop("SIM_THREADS", None)
-            else:
-                os.environ["SIM_THREADS"] = saved
+        for t in ("1", "4"):
+            monkeypatch.setenv("SIM_THREADS", t)
+            results[t] = run_ensemble(config)
         for name in ("mean_sx", "mean_sz", "var_sx", "var_sz"):
             assert np.array_equal(
                 getattr(results["1"], name), getattr(results["4"], name)
             ), name
+
+    # sha256 of the float64 bytes of mean, var and stderr (s_x, s_z each)
+    PINNED = {
+        SamplingMode.VACUUM: "2b9089741b077bc9f0a31be187c67257b6594f3545c337ed41102862e1c8748f",
+        SamplingMode.CONDITIONAL: "13208a33268eba22ad135c07b8219784db1ca913e6f7909afa30ba630031f820",
+    }
+
+    @pytest.mark.parametrize("mode", list(SamplingMode))
+    def test_output_bits_pinned(self, mode):
+        # two full batches plus a ragged one; a changed bit is an RNG or
+        # model change, never an optimisation
+        config = make_config(
+            mode=mode, n_steps=40, n_trajectories=2 * engine.BATCH_SIZE + 123, seed=11
+        )
+        res = run_ensemble(config)
+        h = hashlib.sha256()
+        for name in ("mean_sx", "mean_sz", "var_sx", "var_sz", "stderr_sx", "stderr_sz"):
+            h.update(np.ascontiguousarray(getattr(res, name), dtype=np.float64).tobytes())
+        assert h.hexdigest() == self.PINNED[mode]
 
     def test_per_step_angle_variance(self):
         # Var(theta) = gamma*tau*(1+s_z-g)^2*(1+gamma*tau*(1-s_x^2))
@@ -189,6 +222,27 @@ class TestRunEnsemble:
         assert ratio == pytest.approx(4.0, rel=0.02)
 
 
+class TestChunking:
+    @pytest.mark.parametrize("g", [0.0, 1.0, 2.0, 0.37])
+    @pytest.mark.parametrize("conditional", [True, False])
+    def test_chunk_size_does_not_change_outputs(self, monkeypatch, conditional, g):
+        n, steps = engine.BATCH_SIZE, 40
+        keys = stream_key(8, np.arange(n, dtype=np.uint64))
+        phi0 = np.linspace(-math.pi, math.pi, n)
+
+        def run():
+            hist = engine._advance(phi0, keys, PARAMS, g, conditional, steps, "history")
+            _, sums = engine._advance(phi0, keys, PARAMS, g, conditional, steps, "stats")
+            return (*hist, sums)
+
+        reference = run()  # 8-step chunks at BATCH_SIZE lanes
+        # 1-step chunks, ragged 7-step chunks (40 = 5 * 7 + 5), one chunk
+        for budget in (n, 7 * n, steps * n):
+            monkeypatch.setattr(engine, "_WORD_BUDGET", budget)
+            for got, want in zip(run(), reference):
+                assert np.array_equal(got, want), budget
+
+
 class TestRunConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -197,3 +251,20 @@ class TestRunConfigValidation:
             make_config(n_steps=-1)
         with pytest.raises(ValueError):
             make_config(seed=-1)
+
+    @pytest.mark.parametrize("g", [10.0, -8.0])
+    def test_large_per_step_angle_warns_once(self, g):
+        # sqrt(1e-3) * 10 = 0.316 > 0.3
+        with pytest.warns(UserWarning, match="rotation scale") as caught:
+            make_config(policy=FeedbackPolicy.custom(g))
+        assert len(caught) == 1
+
+    @pytest.mark.parametrize(
+        "policy", [NO_FEEDBACK, COMPENSATION, INVERSION, FeedbackPolicy.custom(9.0)]
+    )
+    def test_default_and_benchmark_configs_are_silent(self, policy):
+        # the CLI defaults, the benchmark and `hdsim validate` all run at
+        # gamma*tau = 1e-3 with gains in [0, 2]; custom:9 is just below 0.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            make_config(policy=policy)

@@ -1,7 +1,7 @@
 import numpy as np
 
 from homodyne_feedback import CounterStream, stream_key
-from homodyne_feedback.streams import raw_words, to_unit
+from homodyne_feedback.streams import box_muller, raw_words, to_unit
 
 
 class TestStreamDerivation:
@@ -53,3 +53,20 @@ class TestOutputQuality:
         assert to_unit(w).shape == (3,)
         again = raw_words(stream_key(0, 0), np.arange(3, dtype=np.uint64))
         assert np.array_equal(w, again)
+
+
+def test_transforms_leave_their_inputs_unmodified():
+    index = np.arange(64, dtype=np.uint64)
+    keys = stream_key(3, index)
+    counters = np.arange(5, dtype=np.uint64)[:, None]
+    words = raw_words(keys, counters)
+    u1 = to_unit(words)
+    u2 = to_unit(raw_words(keys, counters + np.uint64(1)))
+    inputs = [index, keys, counters, words, u1, u2]
+    saved = [a.copy() for a in inputs]
+    stream_key(3, index)
+    raw_words(keys, counters)
+    to_unit(words)
+    box_muller(u1, u2)
+    for a, b in zip(inputs, saved):
+        assert np.array_equal(a, b)
