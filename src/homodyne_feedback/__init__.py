@@ -27,11 +27,9 @@ from .engine import (
     EnsembleResult,
     RunConfig,
     StepRecord,
-    derive_stream,
     run_ensemble,
     run_trajectory,
     run_trajectory_arrays,
-    step,
 )
 from .feedback import (
     COMPENSATION,
@@ -52,12 +50,10 @@ from .fock import (
     skellam_pmf,
 )
 from .measurement import (
-    MeasurementRecord,
     SamplingMode,
     bayes_dipole_update,
     conditional_pdf,
     pdf_vacuum,
-    sample_record,
     sample_records,
 )
 from .streams import CounterStream, stream_key
@@ -71,11 +67,9 @@ __all__ = [
     "rotation_angle",
     "linearized_update",
     "normalize_angle",
-    "MeasurementRecord",
     "SamplingMode",
     "pdf_vacuum",
     "conditional_pdf",
-    "sample_record",
     "sample_records",
     "bayes_dipole_update",
     "FeedbackPolicy",
@@ -87,11 +81,9 @@ __all__ = [
     "RunConfig",
     "StepRecord",
     "EnsembleResult",
-    "step",
     "run_trajectory",
     "run_trajectory_arrays",
     "run_ensemble",
-    "derive_stream",
     "CounterStream",
     "stream_key",
     "SourceSpec",

@@ -88,19 +88,14 @@ def drift_field(params: SimParams, g: float, grid_size: int = 72) -> DriftField:
     )
 
 
-def _thetas(records) -> np.ndarray:
-    if len(records) and isinstance(records[0], StepRecord):
-        return np.array([r.theta for r in records])
-    return np.asarray(records, dtype=float)
-
-
-def estimate_diffusion(records, params: SimParams) -> DiffusionEstimate:
+def estimate_diffusion(thetas, params: SimParams) -> DiffusionEstimate:
     """Var(theta)/tau with a delete-one jackknife standard error.
 
-    Accepts StepRecord sequences or a plain array of rotation angles; needs
-    at least 100 records from a (near-)stationary state.
+    Takes an array of rotation angles (for one trajectory, the theta array
+    of `run_trajectory_arrays`); needs at least 100 of them from a
+    (near-)stationary state.
     """
-    theta = _thetas(records)
+    theta = np.asarray(thetas, dtype=float)
     n = len(theta)
     if n < 100:
         raise ValueError(f"need >= 100 records, got {n}")
@@ -125,44 +120,27 @@ def ensemble_stats(
 
     All trajectories must have equal length; aggregation is in input order.
     """
+    n = len(trajectories)
+    if n == 0:
+        raise ValueError("need at least one trajectory")
     lengths = {len(t) for t in trajectories}
     if len(lengths) != 1:
         raise ValueError(f"ragged trajectories: lengths {sorted(lengths)}")
     n_steps = lengths.pop()
-    n = len(trajectories)
-    if n == 0:
-        raise ValueError("need at least one trajectory")
 
-    phi = np.empty((n, n_steps + 1))
-    phi[:, 0] = initial.phi
+    # one row per step, summed along the row as the batched kernel sums
+    phi = np.empty((n_steps + 1, n))
+    phi[0] = initial.phi
     for i, traj in enumerate(trajectories):
-        phi[i, 1:] = [r.state_after.phi for r in traj]
+        phi[1:, i] = [r.state_after.phi for r in traj]
     sx = np.sin(phi)
     sz = np.cos(phi)
-    mean_sx = sx.mean(axis=0)
-    mean_sz = sz.mean(axis=0)
-    var_sx = sx.var(axis=0)
-    var_sz = sz.var(axis=0)
-    if n > 1:
-        stderr_sx = np.sqrt(var_sx / (n - 1))
-        stderr_sz = np.sqrt(var_sz / (n - 1))
-    else:
-        stderr_sx = np.zeros_like(var_sx)
-        stderr_sz = np.zeros_like(var_sz)
+    sums = np.stack([sx.sum(1), (sx * sx).sum(1), sz.sum(1), (sz * sz).sum(1)], axis=1)
     if config is None:
         config = RunConfig(
             params=params, initial=initial, n_steps=n_steps, n_trajectories=n
         )
-    return EnsembleResult(
-        time=np.arange(n_steps + 1) * params.tau,
-        mean_sx=mean_sx,
-        mean_sz=mean_sz,
-        var_sx=var_sx,
-        var_sz=var_sz,
-        stderr_sx=stderr_sx,
-        stderr_sz=stderr_sz,
-        config=config,
-    )
+    return EnsembleResult.from_sums(sums, n, config)
 
 
 @dataclass(frozen=True)

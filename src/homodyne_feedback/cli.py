@@ -16,7 +16,7 @@ import numpy as np
 from . import feedback as fb
 from .analysis import drift_field, histogram
 from .bloch import BlochState, SimParams
-from .engine import RunConfig, run_ensemble, run_trajectory
+from .engine import RunConfig, run_ensemble, run_trajectory_arrays
 from .fock import CutoffError, SourceSpec, delta_n_pmf, gaussian_distance, skellam_pmf
 from .measurement import SamplingMode, sample_records
 from .streams import CounterStream
@@ -203,24 +203,16 @@ def cmd_simulate(args) -> int:
         Path(values["out"]).write_text(json.dumps(payload, indent=2) + "\n")
 
     if values["dump-trajectories"]:
-        lines = _config_lines(values)
-        lines.append(TRAJ_HEADER)
         tau = config.params.tau
-        for i in range(config.n_trajectories):
-            for r in run_trajectory(config, i):
+        with open(values["dump-trajectories"], "w") as f:
+            f.write("\n".join(_config_lines(values) + [TRAJ_HEADER]) + "\n")
+            for i in range(config.n_trajectories):
+                dn, th, phi = run_trajectory_arrays(config, i)
+                columns = (phi, np.sin(phi), np.cos(phi), dn, th)
                 # the dumped state is the post-step state, so its time stamp is
-                # (step_index + 1) * tau, matching the ensemble CSV rows
-                state = r.state_after
-                lines.append(
-                    ",".join(
-                        [
-                            str(i), str(r.step_index + 1), _fmt((r.step_index + 1) * tau),
-                            _fmt(state.phi), _fmt(state.s_x), _fmt(state.s_z),
-                            _fmt(r.delta_n), _fmt(r.theta),
-                        ]
-                    )
-                )
-        Path(values["dump-trajectories"]).write_text("\n".join(lines) + "\n")
+                # (k + 1) * tau, matching the ensemble CSV rows
+                for k, row in enumerate(zip(*(c.tolist() for c in columns)), 1):
+                    f.write(",".join([str(i), str(k), _fmt(k * tau), *map(_fmt, row)]) + "\n")
     return 0
 
 

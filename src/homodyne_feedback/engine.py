@@ -2,9 +2,11 @@
 
 Every trajectory owns a counter-based stream derived from (seed, index), so
 ensembles are embarrassingly parallel and the aggregate is bit-identical for
-any worker count.  The batched kernel and the scalar `step` consume streams
-with the same counter layout and the same float64 operations, so the two
-paths agree exactly.
+any worker count.  Ensembles run through the batched kernel `_advance`.  A
+single trajectory runs through `run_trajectory_arrays`, a plain float loop
+over the same draws that repeats the kernel's float64 operations in the
+kernel's order, so each of its values equals that lane of the kernel bit for
+bit.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochState, SimParams, normalize_angle, rotation_angle
+from .bloch import BlochState, SimParams, normalize_angle
 from .feedback import FeedbackPolicy, NO_FEEDBACK, gain
-from .measurement import MeasurementRecord, SamplingMode, sample_record
-from .streams import CounterStream, box_muller, raw_words, stream_key, to_unit
+from .measurement import SamplingMode
+from .streams import box_muller, raw_words, stream_key, to_unit
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -101,6 +103,24 @@ class EnsembleResult:
     def seed(self) -> int:
         return self.config.seed
 
+    @classmethod
+    def from_sums(cls, sums: np.ndarray, n: int, config: RunConfig) -> "EnsembleResult":
+        """Moments of n trajectories from their per-step sums of
+        (s_x, s_x^2, s_z, s_z^2), shape (n_steps + 1, 4)."""
+        mean = sums[:, 0::2] / n
+        var = np.maximum(sums[:, 1::2] / n - mean**2, 0.0)
+        stderr = np.sqrt(var / (n - 1)) if n > 1 else np.zeros_like(var)
+        return cls(
+            time=np.arange(len(sums)) * config.params.tau,
+            mean_sx=mean[:, 0],
+            mean_sz=mean[:, 1],
+            var_sx=var[:, 0],
+            var_sz=var[:, 1],
+            stderr_sx=stderr[:, 0],
+            stderr_sz=stderr[:, 1],
+            config=config,
+        )
+
 
 def sim_threads() -> int:
     """Worker cap from SIM_THREADS (positive integer), else hardware default."""
@@ -119,82 +139,58 @@ def _angle_scale(params: SimParams, g: float) -> float:
     return math.sqrt(params.gamma * params.tau) * max(abs(2.0 - g), abs(g))
 
 
-def derive_stream(seed: int, trajectory_index: int) -> CounterStream:
-    """Independent stream for one trajectory: state = f(seed, index)."""
-    return CounterStream(seed, trajectory_index)
+def _chunks(n_steps: int, lanes: int):
+    """(k0, k1) step ranges holding at most _WORD_BUDGET draws per word array."""
+    chunk = max(1, min(n_steps, _WORD_BUDGET // max(1, lanes)))
+    for k0 in range(0, n_steps, chunk):
+        yield k0, min(n_steps, k0 + chunk)
 
 
-def step(
-    state: BlochState,
-    params: SimParams,
-    policy: FeedbackPolicy,
-    mode: SamplingMode,
-    rng: CounterStream,
-):
-    """One measurement interval: sample a record, rotate through the gained
-    back-action angle computed from the pre-measurement s_z."""
-    record = sample_record(state, params, mode, rng)
-    theta = rotation_angle(state.s_z, record.delta_n, params, gain(policy))
-    new_state = _wrap_state(state.phi + theta)
-    return new_state, StepRecord(0, record.delta_n, theta, new_state)
+def _draws(keys, k0, k1, conditional):
+    """Uniforms (None in vacuum mode) and normals of steps k0..k1-1, shape
+    (k1 - k0, lanes).  A conditional step takes counters 3k (uniform) and
+    3k+1, 3k+2 (Box-Muller); a vacuum step takes 2k, 2k+1.  Word k of a
+    stream depends only on (key, k), so chunking never changes a value."""
+    base = (
+        np.arange(k0, k1, dtype=np.uint64) * np.uint64(3 if conditional else 2)
+    )[:, None]
+    if conditional:
+        u = to_unit(raw_words(keys, base))
+        z = box_muller(
+            to_unit(raw_words(keys, base + np.uint64(1))),
+            to_unit(raw_words(keys, base + np.uint64(2))),
+        )
+        return u, z
+    z = box_muller(
+        to_unit(raw_words(keys, base)),
+        to_unit(raw_words(keys, base + np.uint64(1))),
+    )
+    return None, z
 
 
-def _wrap_state(phi: float) -> BlochState:
-    # single-turn wrap, matching the batched kernel's arithmetic exactly
-    if phi > _PI:
-        phi = phi - _TWO_PI
-    elif phi <= -_PI:
-        phi = phi + _TWO_PI
-    return BlochState(phi)
-
-
-def _advance(phi, keys, params, g, conditional, n_steps, collect=None):
-    """Evolve trajectories in lockstep.
+def _advance(phi, keys, params, g, conditional, n_steps):
+    """Evolve trajectories in lockstep; return the final angles and the
+    per-step sums of s_x, s_x^2, s_z, s_z^2 (shape (n_steps + 1, 4),
+    step 0 included).
 
     phi: (n,) float64 angles; keys: (n,) uint64 stream keys.
-    collect: None, "history" (per-step delta_n/theta/phi arrays) or
-    "stats" (per-step sums of s_x, s_x^2, s_z, s_z^2 including step 0).
-    Random words are precomputed in step chunks; values are identical to
-    sequential CounterStream consumption.
     """
     phi = np.array(phi, dtype=np.float64, copy=True)
-    n = phi.shape[0]
     keys = np.asarray(keys, dtype=np.uint64)
     alpha = params.alpha
     sqrt_gt = math.sqrt(params.gamma * params.tau)
     mu = sqrt_gt * alpha
     scale = _angle_scale(params, g)
-    stride = 3 if conditional else 2
 
-    if collect == "history":
-        dn_h = np.empty((n_steps, n))
-        th_h = np.empty((n_steps, n))
-        phi_h = np.empty((n_steps, n))
-    elif collect == "stats":
-        sums = np.empty((n_steps + 1, 4))
+    sums = np.empty((n_steps + 1, 4))
     # s_x, s_z of the current angles: the next step's inputs and the stats
     sx = np.sin(phi)
     sz = np.cos(phi)
-    if collect == "stats":
-        sums[0] = (sx.sum(), (sx * sx).sum(), sz.sum(), (sz * sz).sum())
+    sums[0] = (sx.sum(), (sx * sx).sum(), sz.sum(), (sz * sz).sum())
 
-    chunk = max(1, min(n_steps, _WORD_BUDGET // max(1, n)))
-    for k0 in range(0, n_steps, chunk):
-        k1 = min(n_steps, k0 + chunk)
-        base = (
-            np.arange(k0, k1, dtype=np.uint64) * np.uint64(stride)
-        )[:, None]  # (m, 1)
-        if conditional:
-            u = to_unit(raw_words(keys, base))
-            z = box_muller(
-                to_unit(raw_words(keys, base + np.uint64(1))),
-                to_unit(raw_words(keys, base + np.uint64(2))),
-            )
-        else:
-            z = box_muller(
-                to_unit(raw_words(keys, base)),
-                to_unit(raw_words(keys, base + np.uint64(1))),
-            )
+    for k0, k1 in _chunks(n_steps, phi.shape[0]):
+        u = z = None  # free the last chunk's draws before drawing this one's
+        u, z = _draws(keys, k0, k1, conditional)
         # |delta_n / alpha| <= sqrt_gt + |z|.  One turn of wrapping keeps
         # phi in (-pi, pi] while |theta| <= 2 pi; only chunks whose draws
         # could rotate by more than pi check every lane.
@@ -210,40 +206,56 @@ def _advance(phi, keys, params, g, conditional, n_steps, collect=None):
             np.subtract(phi, _TWO_PI, out=phi, where=phi > _PI)
             np.add(phi, _TWO_PI, out=phi, where=phi <= -_PI)
             if full_wrap:
-                # the scalar path's BlochState normalization, lane by lane
                 for j in np.flatnonzero((phi > _PI) | (phi <= -_PI)):
                     phi[j] = normalize_angle(float(phi[j]))
             sx = np.sin(phi)
             sz = np.cos(phi)
-            if collect == "history":
-                dn_h[k] = dn
-                th_h[k] = theta
-                phi_h[k] = phi
-            elif collect == "stats":
-                sums[k + 1] = (sx.sum(), (sx * sx).sum(), sz.sum(), (sz * sz).sum())
-
-    if collect == "history":
-        return phi, dn_h, th_h, phi_h
-    if collect == "stats":
-        return phi, sums
-    return phi
+            sums[k + 1] = (sx.sum(), (sx * sx).sum(), sz.sum(), (sz * sz).sum())
+    return phi, sums
 
 
 def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
-    """One trajectory as flat arrays (delta_n, theta, phi), length n_steps."""
-    keys = stream_key(config.seed, np.asarray([trajectory_index], dtype=np.uint64))
-    phi0 = np.array([config.initial.phi])
+    """One trajectory as flat arrays (delta_n, theta, phi), length n_steps.
+
+    Steps the kernel's draws for this trajectory in a float loop with the
+    kernel's arithmetic in the kernel's order, so every value equals that
+    lane of `_advance` bit for bit (`math.sin`/`math.cos` agree with
+    numpy's float64 sin/cos where both use the C library's; the tests check
+    every step against the kernel).  Out-of-range angles are wrapped as the
+    kernel wraps them: one turn, then `normalize_angle` if still out of
+    range.  The one-turn subtraction is exact only for |phi| <= 4 pi, so for
+    steps with |theta| > 3 pi that differs from `normalize_angle` alone in
+    the last bit.
+    """
+    params = config.params
+    alpha = params.alpha
+    sqrt_gt = math.sqrt(params.gamma * params.tau)
+    mu = sqrt_gt * alpha
+    g = gain(config.policy)
     conditional = config.mode is SamplingMode.CONDITIONAL
-    _, dn_h, th_h, phi_h = _advance(
-        phi0,
-        keys,
-        config.params,
-        gain(config.policy),
-        conditional,
-        config.n_steps,
-        collect="history",
-    )
-    return dn_h[:, 0], th_h[:, 0], phi_h[:, 0]
+    keys = stream_key(config.seed, np.asarray([trajectory_index], dtype=np.uint64))
+    sin, cos = math.sin, math.cos
+
+    out = np.empty((3, config.n_steps))  # delta_n, theta, phi
+    phi = config.initial.phi
+    sx, sz = sin(phi), cos(phi)
+    for k0, k1 in _chunks(config.n_steps, 1):
+        u, z = _draws(keys, k0, k1, conditional)
+        us = u[:, 0].tolist() if conditional else None
+        rows = []  # flat (delta_n, theta, phi) triples: cheap to append and convert
+        for i, zi in enumerate(z[:, 0].tolist()):
+            if conditional:
+                dn = (mu if us[i] < 0.5 * (1.0 + sx) else -mu) + alpha * zi
+            else:
+                dn = alpha * zi
+            theta = sqrt_gt * (dn / alpha) * (1.0 + sz - g)
+            phi += theta
+            if phi > _PI or phi <= -_PI:
+                phi = normalize_angle(phi - _TWO_PI if phi > _PI else phi + _TWO_PI)
+            sx, sz = sin(phi), cos(phi)
+            rows += (dn, theta, phi)
+        out[:, k0:k1] = np.reshape(rows, (-1, 3)).T
+    return out[0], out[1], out[2]
 
 
 def run_trajectory(config: RunConfig, trajectory_index: int) -> list[StepRecord]:
@@ -261,13 +273,7 @@ def _batch_sums(config: RunConfig, i0: int, i1: int) -> np.ndarray:
     phi0 = np.full(i1 - i0, config.initial.phi)
     conditional = config.mode is SamplingMode.CONDITIONAL
     _, sums = _advance(
-        phi0,
-        keys,
-        config.params,
-        gain(config.policy),
-        conditional,
-        config.n_steps,
-        collect="stats",
+        phi0, keys, config.params, gain(config.policy), conditional, config.n_steps
     )
     return sums
 
@@ -291,25 +297,4 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     total = batch_sums[0]
     for s in batch_sums[1:]:  # fixed reduction order
         total = total + s
-
-    mean_sx = total[:, 0] / n
-    mean_sz = total[:, 2] / n
-    var_sx = np.maximum(total[:, 1] / n - mean_sx**2, 0.0)
-    var_sz = np.maximum(total[:, 3] / n - mean_sz**2, 0.0)
-    if n > 1:
-        stderr_sx = np.sqrt(var_sx / (n - 1))
-        stderr_sz = np.sqrt(var_sz / (n - 1))
-    else:
-        stderr_sx = np.zeros_like(var_sx)
-        stderr_sz = np.zeros_like(var_sz)
-    time = np.arange(config.n_steps + 1) * config.params.tau
-    return EnsembleResult(
-        time=time,
-        mean_sx=mean_sx,
-        mean_sz=mean_sz,
-        var_sx=var_sx,
-        var_sz=var_sz,
-        stderr_sx=stderr_sx,
-        stderr_sz=stderr_sz,
-        config=config,
-    )
+    return EnsembleResult.from_sums(total, n, config)

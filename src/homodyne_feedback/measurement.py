@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +24,6 @@ class SamplingMode(enum.Enum):
 
     VACUUM = "vacuum"
     CONDITIONAL = "conditional"
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Photon-number difference between the two detectors (continuous limit)."""
-
-    delta_n: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.delta_n):
-            raise ValueError(f"delta_n must be finite, got {self.delta_n}")
 
 
 def _gauss(x, mu, sigma):
@@ -74,28 +62,6 @@ def conditional_mean(state: BlochState, params: SimParams) -> float:
 def conditional_variance(state: BlochState, params: SimParams) -> float:
     sx = state.s_x
     return params.alpha**2 * (1.0 + params.gamma_tau * (1.0 - sx * sx))
-
-
-def sample_record(
-    state: BlochState,
-    params: SimParams,
-    mode: SamplingMode,
-    rng: CounterStream,
-) -> MeasurementRecord:
-    """Draw one record.  Deterministic given the stream state.
-
-    Consumption: Conditional takes one uniform then one normal (3 counters);
-    Vacuum takes one normal (2 counters).  The batched engine kernel relies
-    on this exact layout.
-    """
-    if mode is SamplingMode.VACUUM:
-        dn = params.alpha * rng.standard_normal()
-    else:
-        u = rng.uniform()
-        mu = record_shift(params)
-        center = mu if u < 0.5 * (1.0 + state.s_x) else -mu
-        dn = center + params.alpha * rng.standard_normal()
-    return MeasurementRecord(dn)
 
 
 def sample_records(

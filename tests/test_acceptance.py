@@ -4,6 +4,8 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the one-line
 pass/fail report per criterion (the same lines ``hdsim validate`` prints).
 """
 
+import hashlib
+
 import pytest
 
 from homodyne_feedback import engine, validation
@@ -22,9 +24,18 @@ CRITERIA = [
 ]
 
 
+# sha256 of the `hdsim validate` report text: every measured value it quotes
+# is pinned, so a changed digit is an RNG or model change
+REPORT_PINNED = "95bbbb2b5ff9ef0abc1a5d51a1951847440e3fa0aeca5ea7e81b1d6669b82553"
+
+
 @pytest.fixture(scope="module")
-def report():
-    results = validation.run_all()
+def results():
+    return validation.run_all()
+
+
+@pytest.fixture(scope="module")
+def report(results):
     return {r.name: r for r in results}
 
 
@@ -38,6 +49,11 @@ def test_criterion(report, name):
 
 def test_report_covers_all_criteria(report):
     assert sorted(report) == sorted(CRITERIA)
+
+
+def test_report_text_pinned(results):
+    text = validation.format_report(results)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_PINNED
 
 
 def test_harness_detects_injected_gain_error(monkeypatch):

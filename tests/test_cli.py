@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -95,6 +96,34 @@ class TestSimulate:
         _, header, rows = read_csv(dump)
         assert header == TRAJ_HEADER
         assert len(rows) == 15
+
+    # sha256 of the whole dump file; a changed byte is an RNG, model or
+    # format change, never an optimisation
+    DUMP_PINNED = {
+        "conditional": "3b392413be0e17c5792c4ddd8db317892b9a0742051ec7f30acfc0c59d185431",
+        "vacuum": "b12c5bc85e3931e3d36683327d70746e04e3fd450d003875b2a474abfd87aaed",
+    }
+
+    @pytest.mark.parametrize("sampling", sorted(DUMP_PINNED))
+    def test_dump_trajectories_bytes_pinned(self, tmp_path, sampling):
+        dump = tmp_path / "traj.csv"
+        assert main(
+            [
+                "simulate", "--policy", "custom:0.37", "--initial", "phi:0.3",
+                "--steps", "300", "--trajectories", "5", "--sampling", sampling,
+                "--out", str(tmp_path / "ens.csv"), "--dump-trajectories", str(dump),
+            ]
+        ) == 0
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.DUMP_PINNED[sampling]
+
+    def test_unwritable_dump_exits_3(self, tmp_path):
+        assert main(
+            [
+                "simulate", "--steps", "5", "--trajectories", "2",
+                "--out", str(tmp_path / "ens.csv"),
+                "--dump-trajectories", str(tmp_path / "missing" / "traj.csv"),
+            ]
+        ) == 3
 
     def test_invalid_policy_exits_2(self, tmp_path):
         assert main(

@@ -10,16 +10,16 @@ from homodyne_feedback import (
     INVERSION,
     NO_FEEDBACK,
     BlochState,
+    CounterStream,
     FeedbackPolicy,
     RunConfig,
     SamplingMode,
     SimParams,
-    derive_stream,
+    gain,
     rotation_angle,
     run_ensemble,
     run_trajectory,
     run_trajectory_arrays,
-    step,
 )
 from homodyne_feedback import engine
 from homodyne_feedback.streams import stream_key
@@ -41,7 +41,48 @@ def make_config(**kw):
     return RunConfig(**base)
 
 
+def kernel(config, n_lanes):
+    """Final angles and per-step sums of `_advance` over trajectories
+    0..n_lanes-1 of config."""
+    keys = stream_key(config.seed, np.arange(n_lanes, dtype=np.uint64))
+    return engine._advance(
+        np.full(n_lanes, config.initial.phi),
+        keys,
+        config.params,
+        gain(config.policy),
+        config.mode is SamplingMode.CONDITIONAL,
+        config.n_steps,
+    )
+
+
+def history_sums(initial_phi, phi):
+    """(s_x, s_x^2, s_z, s_z^2) of a scalar history, step 0 included."""
+    phi = np.concatenate([[initial_phi], phi])
+    sx, sz = np.sin(phi), np.cos(phi)
+    return np.stack([sx, sx * sx, sz, sz * sz], axis=1)
+
+
+# (gamma*tau, gain): the validated regime, and custom:+-10 at gamma*tau =
+# 0.1, whose steps reach |theta| > 2 pi and need the full wrap
+STEPPER_CASES = [(1e-3, g) for g in (0.0, 1.0, 2.0, 0.37)] + [(0.1, 10.0), (0.1, -10.0)]
+
+
+def stepper_config(mode, gamma_tau, g, n_steps, seed=9):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the large-angle cases warn
+        return make_config(
+            params=SimParams(gamma=1.0, tau=gamma_tau, alpha=100.0),
+            policy=FeedbackPolicy.custom(g),
+            mode=mode,
+            initial=BlochState(0.3),
+            n_steps=n_steps,
+            seed=seed,
+        )
+
+
 class TestStep:
+    """The scalar stepper `run_trajectory_arrays` against the batched kernel."""
+
     @pytest.mark.parametrize(
         "policy,initial",
         [
@@ -51,23 +92,41 @@ class TestStep:
         ],
     )
     def test_stationary_states_exact(self, policy, initial):
-        rng = derive_stream(3, 0)
-        state = initial
-        for _ in range(200):
-            state, record = step(state, PARAMS, policy, SamplingMode.CONDITIONAL, rng)
-            assert state.phi == initial.phi
-            assert record.theta == 0.0
+        config = make_config(policy=policy, initial=initial, n_steps=200, seed=3)
+        dn, th, phi = run_trajectory_arrays(config, 0)
+        assert np.all(dn != 0.0)
+        assert np.all(th == 0.0)
+        assert np.all(phi == initial.phi)
+
+    @pytest.mark.parametrize("n_steps", [1, 7, 300])
+    @pytest.mark.parametrize("gamma_tau,g", STEPPER_CASES)
+    @pytest.mark.parametrize("mode", list(SamplingMode))
+    def test_final_angle_matches_every_kernel_lane(self, mode, gamma_tau, g, n_steps):
+        config = stepper_config(mode, gamma_tau, g, n_steps)
+        final, _ = kernel(config, 37)
+        scalar = [run_trajectory_arrays(config, i)[2][-1] for i in range(37)]
+        assert np.array_equal(final, scalar)
+
+    @pytest.mark.parametrize("gamma_tau,g", STEPPER_CASES)
+    @pytest.mark.parametrize("mode", list(SamplingMode))
+    def test_one_lane_sums_match_scalar_history(self, mode, gamma_tau, g):
+        # a one-lane sum is the lane's own value, so every step is compared
+        config = stepper_config(mode, gamma_tau, g, 300)
+        final, sums = kernel(config, 1)
+        _, _, phi = run_trajectory_arrays(config, 0)
+        assert final[0] == phi[-1]
+        assert np.array_equal(sums, history_sums(config.initial.phi, phi))
 
     def test_matches_batched_trajectory_bitwise(self):
+        # the StepRecord view carries the stepper's values unchanged
         config = make_config(n_steps=300, seed=9)
         records = run_trajectory(config, 2)
-        rng = derive_stream(9, 2)
-        state = config.initial
-        for r in records:
-            state, rec = step(state, PARAMS, NO_FEEDBACK, SamplingMode.CONDITIONAL, rng)
-            assert state.phi == r.state_after.phi
-            assert rec.delta_n == r.delta_n
-            assert rec.theta == r.theta
+        dn, th, phi = run_trajectory_arrays(config, 2)
+        assert [r.delta_n for r in records] == dn.tolist()
+        assert [r.theta for r in records] == th.tolist()
+        assert [r.state_after.phi for r in records] == phi.tolist()
+        final, _ = kernel(config, 3)
+        assert records[-1].state_after.phi == final[2]
 
     def test_large_angles_wrap_fully_and_match_batched(self):
         # custom:10 at gamma*tau = 0.1 is allowed (it only warns) and drives
@@ -77,14 +136,12 @@ class TestStep:
             config = make_config(
                 params=params, policy=FeedbackPolicy.custom(10.0), n_steps=2000, seed=3
             )
-        dn, th, phi = run_trajectory_arrays(config, 0)
+        _, th, phi = run_trajectory_arrays(config, 0)
         assert np.abs(th).max() > 2.0 * math.pi
         assert np.all((phi > -math.pi) & (phi <= math.pi))
-        rng = derive_stream(3, 0)
-        state = config.initial
-        for k in range(config.n_steps):
-            state, rec = step(state, params, config.policy, config.mode, rng)
-            assert (state.phi, rec.delta_n, rec.theta) == (phi[k], dn[k], th[k]), k
+        final, sums = kernel(config, 1)
+        assert final[0] == phi[-1]
+        assert np.array_equal(sums, history_sums(config.initial.phi, phi))
 
 
 class TestRunTrajectory:
@@ -112,13 +169,31 @@ class TestRunTrajectory:
 
 
 class TestDeriveStream:
+    """Each trajectory draws from CounterStream(seed, index), in the counter
+    layout the kernel documents."""
+
     def test_distinct_streams(self):
-        assert derive_stream(42, 0).standard_normal() != derive_stream(42, 1).standard_normal()
+        config = make_config(n_steps=20, seed=42)
+        assert not np.array_equal(
+            run_trajectory_arrays(config, 0)[0], run_trajectory_arrays(config, 1)[0]
+        )
 
     def test_reproducible(self):
-        assert derive_stream(42, 7).standard_normal(8).tolist() == derive_stream(
-            42, 7
-        ).standard_normal(8).tolist()
+        alpha = PARAMS.alpha
+        mu = math.sqrt(PARAMS.gamma * PARAMS.tau) * alpha
+        for mode in SamplingMode:
+            config = make_config(mode=mode, n_steps=50, seed=42)
+            dn, _, phi = run_trajectory_arrays(config, 7)
+            rng = CounterStream(42, 7)
+            sx = math.sin(config.initial.phi)
+            for k in range(config.n_steps):
+                if mode is SamplingMode.VACUUM:
+                    expected = alpha * rng.standard_normal()
+                else:  # one uniform, then one normal
+                    center = mu if rng.uniform() < 0.5 * (1.0 + sx) else -mu
+                    expected = center + alpha * rng.standard_normal()
+                assert dn[k] == expected, (mode, k)
+                sx = math.sin(phi[k])
 
 
 class TestRunEnsemble:
@@ -192,7 +267,7 @@ class TestRunEnsemble:
     def test_per_step_angle_variance(self):
         # Var(theta) = gamma*tau*(1+s_z-g)^2*(1+gamma*tau*(1-s_x^2))
         gt = PARAMS.gamma_tau
-        from homodyne_feedback import CounterStream, sample_records
+        from homodyne_feedback import sample_records
 
         for initial, g in [
             (BlochState.excited(), 0.0),
@@ -211,7 +286,7 @@ class TestRunEnsemble:
 
     def test_twice_the_classical_diffusion(self):
         # excited-state rotation amplitude is 2 -> variance factor 4
-        from homodyne_feedback import CounterStream, sample_records
+        from homodyne_feedback import sample_records
 
         rng = CounterStream(79, 0)
         dn = sample_records(
@@ -231,9 +306,7 @@ class TestChunking:
         phi0 = np.linspace(-math.pi, math.pi, n)
 
         def run():
-            hist = engine._advance(phi0, keys, PARAMS, g, conditional, steps, "history")
-            _, sums = engine._advance(phi0, keys, PARAMS, g, conditional, steps, "stats")
-            return (*hist, sums)
+            return engine._advance(phi0, keys, PARAMS, g, conditional, steps)
 
         reference = run()  # 8-step chunks at BATCH_SIZE lanes
         # 1-step chunks, ragged 7-step chunks (40 = 5 * 7 + 5), one chunk

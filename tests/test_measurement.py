@@ -16,8 +16,9 @@ from homodyne_feedback import (
     bayes_dipole_update,
     conditional_pdf,
     pdf_vacuum,
+    RunConfig,
     rotation_angle,
-    sample_record,
+    run_trajectory_arrays,
     sample_records,
 )
 from homodyne_feedback.measurement import conditional_mean, conditional_variance
@@ -109,11 +110,11 @@ class TestSampler:
         assert p_pos == pytest.approx(0.5, abs=3.0 * se)
 
     def test_scalar_matches_vectorized(self):
+        # a trajectory's first record takes the same counters as a one-record
+        # draw (uniform, then normal) from that trajectory's stream
         state = BlochState(0.9)
-        scalar = [
-            sample_record(state, PARAMS, SamplingMode.CONDITIONAL, CounterStream(5, i)).delta_n
-            for i in range(4)
-        ]
+        config = RunConfig(params=PARAMS, initial=state, n_steps=1, seed=5)
+        scalar = [run_trajectory_arrays(config, i)[0][0] for i in range(4)]
         vector = [
             sample_records(state, PARAMS, SamplingMode.CONDITIONAL, CounterStream(5, i), 1)[0]
             for i in range(4)
