@@ -1,9 +1,9 @@
 """Continuous homodyne detection of a single two-level atom.
 
 Samples measurement records, applies the conditional Bloch-vector
-back-action rotation, supports feedback (none / compensation / inversion),
-and validates the record statistics against an exact truncated-Fock-space
-homodyne oracle.
+back-action rotation, supports proportional feedback on the record (one real
+gain: none = 0, compensation = 1, inversion = 2), and validates the record
+statistics against an exact truncated-Fock-space homodyne oracle.
 """
 
 from .analysis import (
@@ -30,14 +30,6 @@ from .engine import (
     run_ensemble,
     run_trajectory,
     run_trajectory_arrays,
-)
-from .feedback import (
-    COMPENSATION,
-    INVERSION,
-    NO_FEEDBACK,
-    FeedbackPolicy,
-    feedback_rotation,
-    gain,
 )
 from .fock import (
     CutoffError,
@@ -72,12 +64,6 @@ __all__ = [
     "conditional_pdf",
     "sample_records",
     "bayes_dipole_update",
-    "FeedbackPolicy",
-    "NO_FEEDBACK",
-    "COMPENSATION",
-    "INVERSION",
-    "gain",
-    "feedback_rotation",
     "RunConfig",
     "StepRecord",
     "EnsembleResult",

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bloch import BlochState, SimParams
+from .bloch import SimParams
 from .engine import EnsembleResult, RunConfig, StepRecord
 
 _FIXED_POINT_TOL = 1e-12
@@ -111,35 +111,30 @@ def estimate_diffusion(thetas, params: SimParams) -> DiffusionEstimate:
 
 
 def ensemble_stats(
-    trajectories: Sequence[Sequence[StepRecord]],
-    params: SimParams,
-    initial: BlochState,
-    config: RunConfig | None = None,
+    trajectories: Sequence[Sequence[StepRecord]], config: RunConfig
 ) -> EnsembleResult:
-    """Per-step moment statistics from explicit trajectory records.
+    """Per-step moment statistics from explicit trajectory records of
+    config's run.
 
-    All trajectories must have equal length; aggregation is in input order.
+    Every trajectory must have config.n_steps records; the initial state and
+    tau come from config.  Aggregation is in input order.
     """
     n = len(trajectories)
     if n == 0:
         raise ValueError("need at least one trajectory")
-    lengths = {len(t) for t in trajectories}
-    if len(lengths) != 1:
-        raise ValueError(f"ragged trajectories: lengths {sorted(lengths)}")
-    n_steps = lengths.pop()
 
     # one row per step, summed along the row as the batched kernel sums
-    phi = np.empty((n_steps + 1, n))
-    phi[0] = initial.phi
+    phi = np.empty((config.n_steps + 1, n))
+    phi[0] = config.initial.phi
     for i, traj in enumerate(trajectories):
+        if len(traj) != config.n_steps:
+            raise ValueError(
+                f"trajectory {i} has {len(traj)} records, config.n_steps = {config.n_steps}"
+            )
         phi[1:, i] = [r.state_after.phi for r in traj]
     sx = np.sin(phi)
     sz = np.cos(phi)
     sums = np.stack([sx.sum(1), (sx * sx).sum(1), sz.sum(1), (sz * sz).sum(1)], axis=1)
-    if config is None:
-        config = RunConfig(
-            params=params, initial=initial, n_steps=n_steps, n_trajectories=n
-        )
     return EnsembleResult.from_sums(sums, n, config)
 
 

@@ -13,10 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import feedback as fb
 from .analysis import drift_field, histogram
 from .bloch import BlochState, SimParams
-from .engine import RunConfig, run_ensemble, run_trajectory_arrays
+from .engine import RunConfig, check_gain, run_ensemble, run_trajectory_arrays
 from .fock import CutoffError, SourceSpec, delta_n_pmf, gaussian_distance, skellam_pmf
 from .measurement import SamplingMode, sample_records
 from .streams import CounterStream
@@ -30,16 +29,17 @@ class FlagError(ValueError):
     """Invalid flag or config-file value."""
 
 
-def parse_policy(text: str) -> fb.FeedbackPolicy:
-    if text == "none":
-        return fb.NO_FEEDBACK
-    if text == "compensate":
-        return fb.COMPENSATION
-    if text == "invert":
-        return fb.INVERSION
+_POLICY_GAIN = {"none": 0.0, "compensate": 1.0, "invert": 2.0}
+
+
+def parse_policy(text: str) -> float:
+    """Feedback gain named by a --policy value: none, compensate, invert or
+    custom:G."""
+    if text in _POLICY_GAIN:
+        return _POLICY_GAIN[text]
     if text.startswith("custom:"):
         try:
-            return fb.FeedbackPolicy.custom(float(text[len("custom:"):]))
+            return check_gain(float(text[len("custom:"):]))
         except ValueError as exc:
             raise FlagError(f"bad custom gain in {text!r}: {exc}") from exc
     raise FlagError(f"unknown policy {text!r}")
@@ -140,15 +140,18 @@ _SIM_SPEC = {
 }
 
 
-def _config_lines(values: dict) -> list[str]:
+def _run_settings(values: dict) -> dict:
     # output paths are not simulation parameters; leaving them out keeps
     # identically-configured runs byte-identical regardless of destination
-    skip = {"out", "dump-trajectories"}
-    return [
-        f"# {k}={values[k]}"
-        for k in sorted(values)
-        if k not in skip and values[k] is not None
-    ]
+    return {
+        k: v
+        for k, v in values.items()
+        if k not in ("out", "dump-trajectories") and v is not None
+    }
+
+
+def _config_lines(values: dict) -> list[str]:
+    return [f"# {k}={v}" for k, v in sorted(_run_settings(values).items())]
 
 
 def cmd_simulate(args) -> int:
@@ -159,7 +162,7 @@ def cmd_simulate(args) -> int:
         raise FlagError(f"unknown format {values['format']!r}")
     config = RunConfig(
         params=SimParams(values["gamma"], values["tau"], values["alpha"]),
-        policy=parse_policy(values["policy"]),
+        gain=parse_policy(values["policy"]),
         mode=parse_sampling(values["sampling"]),
         initial=parse_initial(values["initial"]),
         n_steps=values["steps"],
@@ -187,7 +190,7 @@ def cmd_simulate(args) -> int:
         Path(values["out"]).write_text("\n".join(lines) + "\n")
     else:
         payload = {
-            "config": {k: v for k, v in values.items() if v is not None},
+            "config": _run_settings(values),
             "seed": config.seed,
             "columns": {
                 "step": list(range(len(result.time))),
@@ -290,19 +293,16 @@ def cmd_figure(args) -> int:
             policies = ["none", "compensate", "invert"]
         else:
             policies = [values["policy"]]
-        fields = [
-            drift_field(params, fb.gain(parse_policy(p)), values["grid"])
-            for p in policies
-        ]
+        gains = [parse_policy(p) for p in policies]
+        fields = [drift_field(params, g, values["grid"]) for g in gains]
         labels = [
-            _POLICY_LABEL.get(p, f"Custom gain {fb.gain(parse_policy(p)):g}")
-            for p in policies
+            _POLICY_LABEL.get(p, f"Custom gain {g:g}") for p, g in zip(policies, gains)
         ]
         svg = drift_field_svg(fields, labels)
     elif kind == "decay":
         config = RunConfig(
             params=params,
-            policy=parse_policy(values["policy"] or "none"),
+            gain=parse_policy(values["policy"] or "none"),
             mode=parse_sampling("conditional"),
             initial=parse_initial(values["initial"]),
             n_steps=values["steps"],

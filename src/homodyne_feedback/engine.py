@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import BlochState, SimParams, normalize_angle
-from .feedback import FeedbackPolicy, NO_FEEDBACK, gain
 from .measurement import SamplingMode
 from .streams import box_muller, raw_words, stream_key, to_unit
 
@@ -39,6 +38,8 @@ BATCH_SIZE = 4096
 # Chunking never changes a value: word k of a stream depends only on (key, k).
 _WORD_BUDGET = 1 << 15
 
+MAX_CUSTOM_GAIN = 10.0
+
 # Warn above this per-step rotation scale, sqrt(gamma*tau) * max|1 + s_z - g|:
 # a typical |theta| of that size is no longer a weak measurement.
 ANGLE_SCALE_WARN = 0.3
@@ -47,7 +48,10 @@ ANGLE_SCALE_WARN = 0.3
 @dataclass(frozen=True)
 class RunConfig:
     params: SimParams
-    policy: FeedbackPolicy = NO_FEEDBACK
+    # Proportional feedback gain on the homodyne record.  The corrective Rabi
+    # rotation is applied within the same measurement step: no feedback = 0,
+    # compensation = 1, inversion = 2; other values interpolate.
+    gain: float = 0.0
     mode: SamplingMode = SamplingMode.CONDITIONAL
     initial: BlochState = field(default_factory=BlochState.excited)
     n_steps: int = 1000
@@ -55,6 +59,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_gain(self.gain)
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
         if self.n_trajectories < 1:
@@ -65,7 +70,7 @@ class RunConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not math.isfinite(self.n_steps * self.params.tau):
             raise ValueError("n_steps * tau must be finite")
-        scale = _angle_scale(self.params, gain(self.policy))
+        scale = _angle_scale(self.params, self.gain)
         if scale > ANGLE_SCALE_WARN:
             warnings.warn(
                 f"per-step rotation scale sqrt(gamma*tau)*max(|2-g|, |g|) = {scale:.3g} "
@@ -99,10 +104,6 @@ class EnsembleResult:
     stderr_sz: np.ndarray
     config: RunConfig
 
-    @property
-    def seed(self) -> int:
-        return self.config.seed
-
     @classmethod
     def from_sums(cls, sums: np.ndarray, n: int, config: RunConfig) -> "EnsembleResult":
         """Moments of n trajectories from their per-step sums of
@@ -131,6 +132,16 @@ def sim_threads() -> int:
     if n < 1:
         raise ValueError(f"SIM_THREADS must be a positive integer, got {raw!r}")
     return n
+
+
+def check_gain(g: float) -> float:
+    """g, if it is a feedback gain the engine accepts: finite with
+    |g| <= MAX_CUSTOM_GAIN."""
+    if not math.isfinite(g) or abs(g) > MAX_CUSTOM_GAIN:
+        raise ValueError(
+            f"custom gain must be finite with |g| <= {MAX_CUSTOM_GAIN}, got {g}"
+        )
+    return g
 
 
 def _angle_scale(params: SimParams, g: float) -> float:
@@ -231,7 +242,7 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
     alpha = params.alpha
     sqrt_gt = math.sqrt(params.gamma * params.tau)
     mu = sqrt_gt * alpha
-    g = gain(config.policy)
+    g = config.gain
     conditional = config.mode is SamplingMode.CONDITIONAL
     keys = stream_key(config.seed, np.asarray([trajectory_index], dtype=np.uint64))
     sin, cos = math.sin, math.cos
@@ -272,9 +283,7 @@ def _batch_sums(config: RunConfig, i0: int, i1: int) -> np.ndarray:
     keys = stream_key(config.seed, np.arange(i0, i1, dtype=np.uint64))
     phi0 = np.full(i1 - i0, config.initial.phi)
     conditional = config.mode is SamplingMode.CONDITIONAL
-    _, sums = _advance(
-        phi0, keys, config.params, gain(config.policy), conditional, config.n_steps
-    )
+    _, sums = _advance(phi0, keys, config.params, config.gain, conditional, config.n_steps)
     return sums
 
 

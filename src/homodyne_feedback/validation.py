@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-from . import feedback as fb
 from .bloch import BlochState, SimParams, apply_rotation, rotation_angle
 from .engine import RunConfig, run_ensemble, run_trajectory_arrays
 from .fock import SourceSpec, delta_n_pmf, gaussian_distance, skellam_pmf
@@ -37,15 +36,15 @@ def check_fixed_points() -> CheckResult:
     """Stationary states stay put exactly: (g, state) in
     {(0, ground), (1, dipole+/-), (2, excited)} over 1e5 random-record steps."""
     cases = [
-        (fb.NO_FEEDBACK, BlochState.ground(), "ground/g=0"),
-        (fb.COMPENSATION, BlochState.dipole_plus(), "dipole+/g=1"),
-        (fb.COMPENSATION, BlochState.dipole_minus(), "dipole-/g=1"),
-        (fb.INVERSION, BlochState.excited(), "excited/g=2"),
+        (0.0, BlochState.ground(), "ground/g=0"),
+        (1.0, BlochState.dipole_plus(), "dipole+/g=1"),
+        (1.0, BlochState.dipole_minus(), "dipole-/g=1"),
+        (2.0, BlochState.excited(), "excited/g=2"),
     ]
     worst = 0.0
-    for i, (policy, initial, _) in enumerate(cases):
+    for i, (g, initial, _) in enumerate(cases):
         config = RunConfig(
-            params=_PARAMS, policy=policy, initial=initial,
+            params=_PARAMS, gain=g, initial=initial,
             n_steps=100_000, n_trajectories=1, seed=11 + i,
         )
         _, _, phi = run_trajectory_arrays(config, 0)
@@ -67,7 +66,7 @@ def check_drift_anchors() -> CheckResult:
         (BlochState.ground(), 103),
     ]:
         config = RunConfig(
-            params=_PARAMS, policy=fb.NO_FEEDBACK, initial=initial,
+            params=_PARAMS, gain=0.0, initial=initial,
             n_steps=1, n_trajectories=1_000_000, seed=seed,
         )
         res = run_ensemble(config)
@@ -195,14 +194,14 @@ def check_purity_and_determinism() -> CheckResult:
     """Purity error <= 1e-12 over 1e6 steps; bit-identical ensembles across
     SIM_THREADS in {1, 2, 8}."""
     config = RunConfig(
-        params=_PARAMS, policy=fb.NO_FEEDBACK, initial=BlochState.excited(),
+        params=_PARAMS, gain=0.0, initial=BlochState.excited(),
         n_steps=1_000_000, n_trajectories=1, seed=5,
     )
     _, _, phi = run_trajectory_arrays(config, 0)
     purity_err = float(np.max(np.abs(np.sin(phi) ** 2 + np.cos(phi) ** 2 - 1.0)))
 
     ens_config = RunConfig(
-        params=_PARAMS, policy=fb.NO_FEEDBACK, initial=BlochState.excited(),
+        params=_PARAMS, gain=0.0, initial=BlochState.excited(),
         n_steps=100, n_trajectories=10_000, seed=6,
     )
     results = []
@@ -264,7 +263,7 @@ def check_decay_characterization() -> CheckResult:
     0.05 for Gamma t <= 0.3 and 0.15 for Gamma t <= 1 (documented leading-order
     deviation at intermediate s_z)."""
     config = RunConfig(
-        params=_PARAMS, policy=fb.NO_FEEDBACK, initial=BlochState.excited(),
+        params=_PARAMS, gain=0.0, initial=BlochState.excited(),
         n_steps=1000, n_trajectories=4096, seed=21,
     )
     res = run_ensemble(config)

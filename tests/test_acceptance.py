@@ -8,8 +8,7 @@ import hashlib
 
 import pytest
 
-from homodyne_feedback import engine, validation
-from homodyne_feedback import feedback as fb
+from homodyne_feedback import validation
 
 CRITERIA = [
     "fixed-point exactness",
@@ -59,5 +58,8 @@ def test_report_text_pinned(results):
 def test_harness_detects_injected_gain_error(monkeypatch):
     # A 5% miscalibration of the applied feedback gain must break the
     # fixed-point criterion; if it does not, the check has no teeth.
-    monkeypatch.setattr(engine, "gain", lambda p: 1.05 * fb.gain(p))
+    real = validation.RunConfig
+    monkeypatch.setattr(
+        validation, "RunConfig", lambda gain=0.0, **kw: real(gain=1.05 * gain, **kw)
+    )
     assert not validation.check_fixed_points().passed

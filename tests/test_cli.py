@@ -47,12 +47,14 @@ class TestSimulate:
         col = header.split(",").index("mean_sz")
         assert all(float(r[col]) == 1.0 for r in rows)
 
-    def test_seeded_runs_are_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_seeded_runs_are_byte_identical(self, tmp_path, fmt):
+        # the two runs write to different paths, which must not show in the bytes
+        a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
         for out in (a, b):
             assert main(
                 [
-                    "simulate", "--seed", "7", "--steps", "50",
+                    "simulate", "--seed", "7", "--steps", "50", "--format", fmt,
                     "--trajectories", "20", "--out", str(out),
                 ]
             ) == 0
@@ -129,6 +131,20 @@ class TestSimulate:
         assert main(
             ["simulate", "--policy", "bogus", "--out", str(tmp_path / "x.csv")]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--policy", "custom:10.5"],
+            ["simulate", "--policy", "custom:nan"],
+            ["figure", "--kind", "drift-field", "--policy", "custom:-10.5"],
+        ],
+    )
+    def test_gain_out_of_range_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main([*argv, "--steps", "5", "--out", str(out)]) == 2
+        assert "custom gain must be finite with |g| <= 10.0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_out_exits_3(self, tmp_path):
         assert main(
@@ -315,3 +331,9 @@ class TestImportCost:
         monkeypatch.setattr(validation, "run_all", lambda: stub)
         assert main(["validate"]) == code
         assert capsys.readouterr().out == validation.format_report(stub) + "\n"
+
+
+def test_package_exports_resolve_without_duplicates():
+    names = homodyne_feedback.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(homodyne_feedback, n)] == []

@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 
 from homodyne_feedback import (
-    COMPENSATION,
-    INVERSION,
-    NO_FEEDBACK,
     BlochState,
     CounterStream,
-    FeedbackPolicy,
     RunConfig,
     SamplingMode,
     SimParams,
-    gain,
     rotation_angle,
     run_ensemble,
     run_trajectory,
@@ -30,7 +25,6 @@ PARAMS = SimParams(gamma=1.0, tau=1e-3, alpha=100.0)
 def make_config(**kw):
     base = dict(
         params=PARAMS,
-        policy=NO_FEEDBACK,
         mode=SamplingMode.CONDITIONAL,
         initial=BlochState.excited(),
         n_steps=100,
@@ -49,7 +43,7 @@ def kernel(config, n_lanes):
         np.full(n_lanes, config.initial.phi),
         keys,
         config.params,
-        gain(config.policy),
+        config.gain,
         config.mode is SamplingMode.CONDITIONAL,
         config.n_steps,
     )
@@ -72,7 +66,7 @@ def stepper_config(mode, gamma_tau, g, n_steps, seed=9):
         warnings.simplefilter("ignore", UserWarning)  # the large-angle cases warn
         return make_config(
             params=SimParams(gamma=1.0, tau=gamma_tau, alpha=100.0),
-            policy=FeedbackPolicy.custom(g),
+            gain=g,
             mode=mode,
             initial=BlochState(0.3),
             n_steps=n_steps,
@@ -84,15 +78,15 @@ class TestStep:
     """The scalar stepper `run_trajectory_arrays` against the batched kernel."""
 
     @pytest.mark.parametrize(
-        "policy,initial",
+        "g,initial",
         [
-            (NO_FEEDBACK, BlochState.ground()),
-            (INVERSION, BlochState.excited()),
-            (COMPENSATION, BlochState.dipole_plus()),
+            (0.0, BlochState.ground()),
+            (2.0, BlochState.excited()),
+            (1.0, BlochState.dipole_plus()),
         ],
     )
-    def test_stationary_states_exact(self, policy, initial):
-        config = make_config(policy=policy, initial=initial, n_steps=200, seed=3)
+    def test_stationary_states_exact(self, g, initial):
+        config = make_config(gain=g, initial=initial, n_steps=200, seed=3)
         dn, th, phi = run_trajectory_arrays(config, 0)
         assert np.all(dn != 0.0)
         assert np.all(th == 0.0)
@@ -134,7 +128,7 @@ class TestStep:
         with pytest.warns(UserWarning):
             params = SimParams(gamma=1.0, tau=0.1, alpha=100.0)
             config = make_config(
-                params=params, policy=FeedbackPolicy.custom(10.0), n_steps=2000, seed=3
+                params=params, gain=10.0, n_steps=2000, seed=3
             )
         _, th, phi = run_trajectory_arrays(config, 0)
         assert np.abs(th).max() > 2.0 * math.pi
@@ -329,15 +323,13 @@ class TestRunConfigValidation:
     def test_large_per_step_angle_warns_once(self, g):
         # sqrt(1e-3) * 10 = 0.316 > 0.3
         with pytest.warns(UserWarning, match="rotation scale") as caught:
-            make_config(policy=FeedbackPolicy.custom(g))
+            make_config(gain=g)
         assert len(caught) == 1
 
-    @pytest.mark.parametrize(
-        "policy", [NO_FEEDBACK, COMPENSATION, INVERSION, FeedbackPolicy.custom(9.0)]
-    )
-    def test_default_and_benchmark_configs_are_silent(self, policy):
+    @pytest.mark.parametrize("g", [0.0, 1.0, 2.0, 9.0])
+    def test_default_and_benchmark_configs_are_silent(self, g):
         # the CLI defaults, the benchmark and `hdsim validate` all run at
         # gamma*tau = 1e-3 with gains in [0, 2]; custom:9 is just below 0.3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            make_config(policy=policy)
+            make_config(gain=g)

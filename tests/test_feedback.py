@@ -1,58 +1,34 @@
-import numpy as np
+import math
+
 import pytest
 
-from homodyne_feedback import (
-    COMPENSATION,
-    INVERSION,
-    NO_FEEDBACK,
-    FeedbackPolicy,
-    SimParams,
-    feedback_rotation,
-    gain,
-    rotation_angle,
-)
+from homodyne_feedback import RunConfig, SimParams, rotation_angle
+from homodyne_feedback.cli import FlagError, parse_policy
 
 PARAMS = SimParams(gamma=1.0, tau=1e-2, alpha=100.0)
 
 
 class TestGain:
     def test_named_scenarios(self):
-        assert gain(NO_FEEDBACK) == 0.0
-        assert gain(COMPENSATION) == 1.0
-        assert gain(INVERSION) == 2.0
+        assert RunConfig(params=PARAMS).gain == 0.0
+        assert parse_policy("none") == 0.0
+        assert parse_policy("compensate") == 1.0
+        assert parse_policy("invert") == 2.0
 
     def test_custom(self):
-        assert gain(FeedbackPolicy.custom(1.5)) == 1.5
-        assert gain(FeedbackPolicy.custom(-0.25)) == -0.25
+        assert parse_policy("custom:1.5") == 1.5
+        assert parse_policy("custom:-0.25") == -0.25
 
     def test_custom_gain_cap(self):
-        with pytest.raises(ValueError):
-            FeedbackPolicy.custom(10.5)
-        with pytest.raises(ValueError):
-            FeedbackPolicy.custom(float("inf"))
+        for g in (10.5, -10.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"finite with \|g\| <= 10.0"):
+                RunConfig(params=PARAMS, gain=g)
+            with pytest.raises(FlagError, match=r"finite with \|g\| <= 10.0"):
+                parse_policy(f"custom:{g}")
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            FeedbackPolicy("delayed")
-
-
-class TestFeedbackRotation:
-    def test_zero_gain(self):
-        assert feedback_rotation(123.0, PARAMS, 0.0) == 0.0
-
-    def test_substitution(self):
-        # g=1, delta_n/alpha = 1, gamma*tau = 0.01
-        assert feedback_rotation(100.0, PARAMS, 1.0) == pytest.approx(-0.1)
-
-    def test_additive_decomposition(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10_000):
-            s_z = rng.uniform(-1.0, 1.0)
-            dn = rng.normal(scale=PARAMS.alpha)
-            g = rng.uniform(-3.0, 3.0)
-            combined = rotation_angle(s_z, dn, PARAMS, g)
-            split = rotation_angle(s_z, dn, PARAMS, 0.0) + feedback_rotation(dn, PARAMS, g)
-            assert abs(combined - split) <= 1e-15 * max(1.0, abs(combined))
+        with pytest.raises(FlagError, match="unknown policy"):
+            parse_policy("delayed")
 
 
 class TestScenarioFixedPoints:
