@@ -19,7 +19,6 @@ from .bloch import (
     BlochState,
     SimParams,
     apply_rotation,
-    linearized_update,
     normalize_angle,
     rotation_angle,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "SimParams",
     "apply_rotation",
     "rotation_angle",
-    "linearized_update",
     "normalize_angle",
     "SamplingMode",
     "pdf_vacuum",

@@ -126,12 +126,3 @@ def apply_rotation(state: BlochState, theta: float) -> BlochState:
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     return BlochState(normalize_angle(state.phi + theta))
-
-
-def linearized_update(state: BlochState, delta_n, params: SimParams, gain: float = 0.0):
-    """First-order increments (delta_sx, delta_sz) = (theta*s_z, -theta*s_x).
-
-    For comparison against the exact rotation only; never used for evolution.
-    """
-    theta = rotation_angle(state.s_z, delta_n, params, gain)
-    return theta * state.s_z, -theta * state.s_x

@@ -2,8 +2,19 @@
 
 Every trajectory owns a counter-based stream derived from (seed, index), so
 ensembles are embarrassingly parallel and the aggregate is bit-identical for
-any worker count.  Ensembles run through the batched kernel `_advance`.  A
-single trajectory runs through `run_trajectory_arrays`, a plain float loop
+any worker count.  Ensembles run through the batched kernel `_advance`.
+
+An ensemble is cut into fixed batches of BATCH_SIZE trajectories, and each
+worker advances a slab, a run of up to SLAB_BATCHES consecutive batches, as
+one wide lane array.  Every per-step operation writes into a workspace the
+kernel allocates once per slab.  The kernel keeps one set of per-step sums
+per batch: the row sums of a (batches, BATCH_SIZE) view of each lane array,
+with a ragged last batch summed as its own slice.  Each is the same pairwise
+sum over the same lanes as that batch's own 1-D `.sum()`, so it is equal bit
+for bit however batches are grouped into slabs, and the batches are reduced
+in batch order.  The result therefore does not depend on the worker count.
+
+A single trajectory runs through `run_trajectory_arrays`, a plain float loop
 over the same draws that repeats the kernel's float64 operations in the
 kernel's order, so each of its values equals that lane of the kernel bit for
 bit.
@@ -30,13 +41,19 @@ _TWO_PI = 2.0 * math.pi
 # reduction) do not depend on the worker count.
 BATCH_SIZE = 4096
 
-# Upper bound on random words precomputed at once, per batch.  At BATCH_SIZE
-# lanes that is a chunk of 8 steps: each word, uniform and normal array is
-# 256 KiB, so a chunk's RNG arrays and their temporaries fit a 2 MiB L2
-# cache, and a worker's memory does not grow with n_steps.  Much larger
-# chunks stream tens of MB through memory and run slower.
+# Upper bound on random words precomputed at once per word array.  That is
+# a chunk of 8 steps at BATCH_SIZE lanes and of 2 steps in a 4-batch slab:
+# each word, uniform and normal array is 256 KiB, so a chunk's RNG arrays
+# and their temporaries fit a 2 MiB L2 cache, and a worker's memory does not
+# grow with n_steps.  Much larger chunks stream tens of MB through memory
+# and run slower.
 # Chunking never changes a value: word k of a stream depends only on (key, k).
 _WORD_BUDGET = 1 << 15
+
+# Most batches a worker advances together as one lane array (a slab).  A
+# 4-batch slab makes a quarter of the numpy calls, and hands the interpreter
+# lock over a quarter as often, per trajectory-step as one batch at a time.
+SLAB_BATCHES = 4
 
 MAX_CUSTOM_GAIN = 10.0
 
@@ -128,7 +145,10 @@ def sim_threads() -> int:
     raw = os.environ.get("SIM_THREADS")
     if raw is None:
         return os.cpu_count() or 1
-    n = int(raw)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
     if n < 1:
         raise ValueError(f"SIM_THREADS must be a positive integer, got {raw!r}")
     return n
@@ -179,12 +199,27 @@ def _draws(keys, k0, k1, conditional):
     return None, z
 
 
-def _advance(phi, keys, params, g, conditional, n_steps):
-    """Evolve trajectories in lockstep; return the final angles and the
-    per-step sums of s_x, s_x^2, s_z, s_z^2 (shape (n_steps + 1, 4),
-    step 0 included).
+def _batch_rows(x, out):
+    """Each batch's sum of the lane array x into out (one entry a batch):
+    row sums of the full batches, then a ragged last batch as its own slice,
+    each equal to that batch's own 1-D `.sum()` bit for bit."""
+    full = len(x) // BATCH_SIZE
+    if full:
+        np.add.reduce(x[: full * BATCH_SIZE].reshape(full, BATCH_SIZE), axis=1, out=out[:full])
+    if len(x) > full * BATCH_SIZE:
+        out[full] = x[full * BATCH_SIZE :].sum()
 
-    phi: (n,) float64 angles; keys: (n,) uint64 stream keys.
+
+def _advance(phi, keys, params, g, conditional, n_steps):
+    """Evolve trajectories in lockstep; return the final angles and each
+    batch's per-step sums of s_x, s_x^2, s_z, s_z^2, shape
+    (batches, n_steps + 1, 4) with step 0 included.
+
+    phi: (n,) float64 angles; keys: (n,) uint64 stream keys.  Lanes
+    b*BATCH_SIZE .. (b+1)*BATCH_SIZE - 1 are batch b; the last may be
+    ragged.  Every per-step operation writes with `out=` into a workspace
+    allocated once per call, so a step allocates no lane array; only the
+    draws are allocated, once per chunk.
     """
     phi = np.array(phi, dtype=np.float64, copy=True)
     keys = np.asarray(keys, dtype=np.uint64)
@@ -193,13 +228,23 @@ def _advance(phi, keys, params, g, conditional, n_steps):
     mu = sqrt_gt * alpha
     scale = _angle_scale(params, g)
 
-    sums = np.empty((n_steps + 1, 4))
+    n = phi.shape[0]
+    sums = np.empty((-(-n // BATCH_SIZE), n_steps + 1, 4))
     # s_x, s_z of the current angles: the next step's inputs and the stats
     sx = np.sin(phi)
     sz = np.cos(phi)
-    sums[0] = (sx.sum(), (sx * sx).sum(), sz.sum(), (sz * sz).sum())
+    theta = np.empty(n)
+    tmp = np.empty(n)  # scratch: the center, 1 + s_z - g, the squares
+    mask = np.empty(n, dtype=bool)
 
-    for k0, k1 in _chunks(n_steps, phi.shape[0]):
+    def record(k):
+        _batch_rows(sx, sums[:, k, 0])
+        _batch_rows(np.multiply(sx, sx, out=tmp), sums[:, k, 1])
+        _batch_rows(sz, sums[:, k, 2])
+        _batch_rows(np.multiply(sz, sz, out=tmp), sums[:, k, 3])
+
+    record(0)
+    for k0, k1 in _chunks(n_steps, n):
         u = z = None  # free the last chunk's draws before drawing this one's
         u, z = _draws(keys, k0, k1, conditional)
         # |delta_n / alpha| <= sqrt_gt + |z|.  One turn of wrapping keeps
@@ -207,21 +252,34 @@ def _advance(phi, keys, params, g, conditional, n_steps):
         # could rotate by more than pi check every lane.
         full_wrap = scale * (sqrt_gt + np.abs(z).max()) > _PI
         for i, k in enumerate(range(k0, k1)):
+            # delta_n = center + alpha * z, center = mu where u < (1 + s_x) / 2
+            # and -mu elsewhere.  The center is (u < ...) * 2 mu - mu, which
+            # is exactly +-mu and needs no branch per lane.
+            np.multiply(z[i], alpha, out=theta)
             if conditional:
-                center = np.where(u[i] < 0.5 * (1.0 + sx), mu, -mu)
-                dn = center + alpha * z[i]
-            else:
-                dn = alpha * z[i]
-            theta = sqrt_gt * (dn / alpha) * (1.0 + sz - g)
+                np.add(sx, 1.0, out=tmp)
+                np.multiply(tmp, 0.5, out=tmp)
+                np.less(u[i], tmp, out=mask)
+                np.multiply(mask, 2.0 * mu, out=tmp)
+                np.subtract(tmp, mu, out=tmp)
+                np.add(tmp, theta, out=theta)
+            # theta = sqrt_gt * (delta_n / alpha) * (1 + s_z - g)
+            np.divide(theta, alpha, out=theta)
+            np.multiply(theta, sqrt_gt, out=theta)
+            np.add(sz, 1.0, out=tmp)
+            np.subtract(tmp, g, out=tmp)
+            np.multiply(theta, tmp, out=theta)
             phi += theta
-            np.subtract(phi, _TWO_PI, out=phi, where=phi > _PI)
-            np.add(phi, _TWO_PI, out=phi, where=phi <= -_PI)
+            np.greater(phi, _PI, out=mask)
+            np.subtract(phi, _TWO_PI, out=phi, where=mask)
+            np.less_equal(phi, -_PI, out=mask)
+            np.add(phi, _TWO_PI, out=phi, where=mask)
             if full_wrap:
                 for j in np.flatnonzero((phi > _PI) | (phi <= -_PI)):
                     phi[j] = normalize_angle(float(phi[j]))
-            sx = np.sin(phi)
-            sz = np.cos(phi)
-            sums[k + 1] = (sx.sum(), (sx * sx).sum(), sz.sum(), (sz * sz).sum())
+            np.sin(phi, out=sx)
+            np.cos(phi, out=sz)
+            record(k + 1)
     return phi, sums
 
 
@@ -279,9 +337,13 @@ def run_trajectory(config: RunConfig, trajectory_index: int) -> list[StepRecord]
     ]
 
 
-def _batch_sums(config: RunConfig, i0: int, i1: int) -> np.ndarray:
-    keys = stream_key(config.seed, np.arange(i0, i1, dtype=np.uint64))
-    phi0 = np.full(i1 - i0, config.initial.phi)
+def _slab_sums(config: RunConfig, batches) -> np.ndarray:
+    """Per-batch sums of consecutive batches (i0, i1), advanced as one slab."""
+    # one key derivation per batch, so traced runs count batches by its calls
+    keys = np.concatenate(
+        [stream_key(config.seed, np.arange(i0, i1, dtype=np.uint64)) for i0, i1 in batches]
+    )
+    phi0 = np.full(len(keys), config.initial.phi)
     conditional = config.mode is SamplingMode.CONDITIONAL
     _, sums = _advance(phi0, keys, config.params, config.gain, conditional, config.n_steps)
     return sums
@@ -290,19 +352,22 @@ def _batch_sums(config: RunConfig, i0: int, i1: int) -> np.ndarray:
 def run_ensemble(config: RunConfig) -> EnsembleResult:
     """Moment statistics over independent trajectories.
 
-    Work is split into fixed-size batches and reduced in batch order, so the
-    result is bit-identical for any SIM_THREADS setting at a fixed seed.
+    Work is split into fixed-size batches, each worker advances runs of
+    consecutive batches (slabs) as one lane array, and the per-batch sums
+    are reduced in batch order, so the result is bit-identical for any
+    SIM_THREADS setting at a fixed seed.
     """
     n = config.n_trajectories
     bounds = [(i, min(i + BATCH_SIZE, n)) for i in range(0, n, BATCH_SIZE)]
     workers = min(sim_threads(), len(bounds))
+    width = min(SLAB_BATCHES, -(-len(bounds) // workers))
+    slabs = [bounds[i : i + width] for i in range(0, len(bounds), width)]
     if workers <= 1:
-        batch_sums = [_batch_sums(config, i0, i1) for i0, i1 in bounds]
+        slab_sums = [_slab_sums(config, slab) for slab in slabs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            batch_sums = list(
-                pool.map(lambda b: _batch_sums(config, b[0], b[1]), bounds)
-            )
+            slab_sums = list(pool.map(lambda slab: _slab_sums(config, slab), slabs))
+    batch_sums = [s for sums in slab_sums for s in sums]
     total = batch_sums[0]
     for s in batch_sums[1:]:  # fixed reduction order
         total = total + s

@@ -9,12 +9,18 @@ from homodyne_feedback import (
     BlochState,
     SimParams,
     apply_rotation,
-    linearized_update,
     normalize_angle,
     rotation_angle,
 )
 
 PARAMS_GT01 = SimParams(gamma=1.0, tau=1e-2, alpha=100.0)
+
+
+def linearized_update(state: BlochState, delta_n, params: SimParams, gain: float = 0.0):
+    """First-order increments (delta_sx, delta_sz) = (theta*s_z, -theta*s_x),
+    the reference the exact rotation is compared against."""
+    theta = rotation_angle(state.s_z, delta_n, params, gain)
+    return theta * state.s_z, -theta * state.s_x
 
 
 class TestBlochState:

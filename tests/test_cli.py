@@ -146,6 +146,15 @@ class TestSimulate:
         assert "custom gain must be finite with |g| <= 10.0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", "", "0"])
+    def test_bad_sim_threads_exits_2(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("SIM_THREADS", value)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--steps", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"SIM_THREADS must be a positive integer, got {value!r}" in err
+        assert not out.exists()
+
     def test_unwritable_out_exits_3(self, tmp_path):
         assert main(
             ["simulate", "--steps", "5", "--out", str(tmp_path / "no_dir" / "x.csv")]

@@ -37,9 +37,9 @@ def make_config(**kw):
 
 def kernel(config, n_lanes):
     """Final angles and per-step sums of `_advance` over trajectories
-    0..n_lanes-1 of config."""
+    0..n_lanes-1 of config, one batch (n_lanes <= BATCH_SIZE)."""
     keys = stream_key(config.seed, np.arange(n_lanes, dtype=np.uint64))
-    return engine._advance(
+    final, (sums,) = engine._advance(
         np.full(n_lanes, config.initial.phi),
         keys,
         config.params,
@@ -47,6 +47,10 @@ def kernel(config, n_lanes):
         config.mode is SamplingMode.CONDITIONAL,
         config.n_steps,
     )
+    return final, sums
+
+
+MOMENTS = ("mean_sx", "mean_sz", "var_sx", "var_sz", "stderr_sx", "stderr_sz")
 
 
 def history_sums(initial_phi, phi):
@@ -229,15 +233,19 @@ class TestRunEnsemble:
         assert np.all(np.diff(res.mean_sz) <= slack)
 
     def test_thread_count_does_not_change_result(self, monkeypatch):
-        config = make_config(n_trajectories=10_000, n_steps=30, seed=6)
+        # six batches, the last ragged: slabs of 4+2, 3+3, 2+2+2 and 1 x 6
+        config = make_config(
+            n_trajectories=5 * engine.BATCH_SIZE + 123, n_steps=30, seed=6
+        )
         results = {}
-        for t in ("1", "4"):
+        for t in ("1", "2", "3", "4", "7"):
             monkeypatch.setenv("SIM_THREADS", t)
             results[t] = run_ensemble(config)
-        for name in ("mean_sx", "mean_sz", "var_sx", "var_sz"):
-            assert np.array_equal(
-                getattr(results["1"], name), getattr(results["4"], name)
-            ), name
+        for t, res in results.items():
+            for name in MOMENTS:
+                assert np.array_equal(
+                    getattr(results["1"], name), getattr(res, name)
+                ), (t, name)
 
     # sha256 of the float64 bytes of mean, var and stderr (s_x, s_z each)
     PINNED = {
@@ -254,7 +262,7 @@ class TestRunEnsemble:
         )
         res = run_ensemble(config)
         h = hashlib.sha256()
-        for name in ("mean_sx", "mean_sz", "var_sx", "var_sz", "stderr_sx", "stderr_sz"):
+        for name in MOMENTS:
             h.update(np.ascontiguousarray(getattr(res, name), dtype=np.float64).tobytes())
         assert h.hexdigest() == self.PINNED[mode]
 
@@ -308,6 +316,33 @@ class TestChunking:
             monkeypatch.setattr(engine, "_WORD_BUDGET", budget)
             for got, want in zip(run(), reference):
                 assert np.array_equal(got, want), budget
+
+    @pytest.mark.parametrize("gamma_tau,g", STEPPER_CASES)
+    @pytest.mark.parametrize("conditional", [True, False])
+    def test_slab_width_does_not_change_batch_sums(self, conditional, gamma_tau, g):
+        # one slab of three full batches and a ragged one, against each
+        # batch advanced alone; custom:+-10 at gamma*tau = 0.1 takes the
+        # full-wrap path
+        n, steps = 3 * engine.BATCH_SIZE + 123, 20
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # gamma*tau = 0.1 warns
+            params = SimParams(gamma=1.0, tau=gamma_tau, alpha=100.0)
+        keys = stream_key(8, np.arange(n, dtype=np.uint64))
+        phi0 = np.linspace(-math.pi, math.pi, n)
+        final, sums = engine._advance(phi0, keys, params, g, conditional, steps)
+        assert sums.shape == (4, steps + 1, 4)
+        for b, i0 in enumerate(range(0, n, engine.BATCH_SIZE)):
+            lanes = slice(i0, i0 + engine.BATCH_SIZE)
+            alone, (batch,) = engine._advance(
+                phi0[lanes], keys[lanes], params, g, conditional, steps
+            )
+            assert np.array_equal(final[lanes], alone), b
+            assert np.array_equal(sums[b], batch), b
+            # the first and last rows against the batch's own 1-D sums
+            for k, angles in ((0, phi0[lanes]), (steps, final[lanes])):
+                sx, sz = np.sin(angles), np.cos(angles)
+                own = [sx.sum(), (sx * sx).sum(), sz.sum(), (sz * sz).sum()]
+                assert np.array_equal(sums[b, k], own), (b, k)
 
 
 class TestRunConfigValidation:
