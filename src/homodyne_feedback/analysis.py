@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .bloch import SimParams
-from .engine import EnsembleResult, RunConfig, StepRecord
+from .engine import EnsembleResult, RunConfig
 
 _FIXED_POINT_TOL = 1e-12
 
@@ -110,30 +108,24 @@ def estimate_diffusion(thetas, params: SimParams) -> DiffusionEstimate:
     return DiffusionEstimate(value=var_full / params.tau, stderr=se / params.tau)
 
 
-def ensemble_stats(
-    trajectories: Sequence[Sequence[StepRecord]], config: RunConfig
-) -> EnsembleResult:
-    """Per-step moment statistics from explicit trajectory records of
-    config's run.
+def ensemble_stats(phi, config: RunConfig) -> EnsembleResult:
+    """Per-step moment statistics of config's run from its trajectories'
+    angles: phi has shape (n, config.n_steps), one row per trajectory as
+    `run_trajectory_arrays` returns it.
 
-    Every trajectory must have config.n_steps records; the initial state and
-    tau come from config.  Aggregation is in input order.
+    The initial state and tau come from config.  Aggregation is in row order.
     """
-    n = len(trajectories)
-    if n == 0:
-        raise ValueError("need at least one trajectory")
-
-    # one row per step, summed along the row as the batched kernel sums
-    phi = np.empty((config.n_steps + 1, n))
-    phi[0] = config.initial.phi
-    for i, traj in enumerate(trajectories):
-        if len(traj) != config.n_steps:
-            raise ValueError(
-                f"trajectory {i} has {len(traj)} records, config.n_steps = {config.n_steps}"
-            )
-        phi[1:, i] = [r.state_after.phi for r in traj]
-    sx = np.sin(phi)
-    sz = np.cos(phi)
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 2 or len(phi) == 0 or phi.shape[1] != config.n_steps:
+        raise ValueError(f"phi must have shape (n >= 1, {config.n_steps}), got {phi.shape}")
+    n = len(phi)
+    # one C-ordered row per step, summed along the row as the batched kernel
+    # sums its lanes; a transposed (F-ordered) view would sum in another order
+    angles = np.empty((config.n_steps + 1, n))
+    angles[0] = config.initial.phi
+    angles[1:] = phi.T
+    sx = np.sin(angles)
+    sz = np.cos(angles)
     sums = np.stack([sx.sum(1), (sx * sx).sum(1), sz.sum(1), (sz * sz).sum(1)], axis=1)
     return EnsembleResult.from_sums(sums, n, config)
 

@@ -21,7 +21,6 @@ from .measurement import SamplingMode, sample_records
 from .streams import CounterStream
 from .svgfig import decay_svg, drift_field_svg, histogram_svg
 
-CSV_HEADER = "step,time,mean_sx,mean_sz,var_sx,var_sz,se_sx,se_sz"
 TRAJ_HEADER = "traj,step,time,phi,sx,sz,delta_n,theta"
 
 
@@ -29,14 +28,19 @@ class FlagError(ValueError):
     """Invalid flag or config-file value."""
 
 
-_POLICY_GAIN = {"none": 0.0, "compensate": 1.0, "invert": 2.0}
+# --policy name -> (feedback gain, drift-field panel label)
+_POLICIES = {
+    "none": (0.0, "No feedback"),
+    "compensate": (1.0, "Compensation"),
+    "invert": (2.0, "Inversion"),
+}
 
 
 def parse_policy(text: str) -> float:
     """Feedback gain named by a --policy value: none, compensate, invert or
     custom:G."""
-    if text in _POLICY_GAIN:
-        return _POLICY_GAIN[text]
+    if text in _POLICIES:
+        return _POLICIES[text][0]
     if text.startswith("custom:"):
         try:
             return check_gain(float(text[len("custom:"):]))
@@ -103,7 +107,8 @@ def read_config_file(path: str, known: set[str]) -> dict[str, str]:
 
 
 def effective(args, spec: dict[str, tuple]):
-    """Merge defaults, config-file values, and explicit flags (flags win)."""
+    """Merge defaults, config-file values, and explicit flags (flags win);
+    every command writes to --out, so it is required."""
     file_values = {}
     if getattr(args, "config", None):
         file_values = read_config_file(args.config, set(spec))
@@ -114,17 +119,16 @@ def effective(args, spec: dict[str, tuple]):
         if flag_value is not None:
             out[key] = flag_value
         elif key in file_values:
-            out[key] = conv(file_values[key]) if conv else file_values[key]
+            out[key] = conv(file_values[key])
         else:
             out[key] = default
+    if out["out"] is None:
+        raise FlagError("--out is required")
     return out
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-_SIM_SPEC = {
+# The parameters of one ensemble run: key -> (converter, default).
+_RUN_SPEC = {
     "gamma": (float, 1.0),
     "tau": (float, 1e-3),
     "alpha": (float, 100.0),
@@ -134,10 +138,19 @@ _SIM_SPEC = {
     "steps": (int, 1000),
     "trajectories": (int, 100),
     "seed": (int, 0),
-    "format": (str, "csv"),
-    "out": (str, None),
-    "dump-trajectories": (str, None),
 }
+
+# The JSON "config" block follows this key order.
+_SIM_SPEC = {
+    **_RUN_SPEC, "format": (str, "csv"), "out": (str, None), "dump-trajectories": (str, None),
+}
+
+# Stats columns after "step": output name -> EnsembleResult attribute.
+_STATS_COLUMNS = {
+    "time": "time", "mean_sx": "mean_sx", "mean_sz": "mean_sz", "var_sx": "var_sx",
+    "var_sz": "var_sz", "se_sx": "stderr_sx", "se_sz": "stderr_sz",
+}
+CSV_HEADER = ",".join(["step", *_STATS_COLUMNS])
 
 
 def _run_settings(values: dict) -> dict:
@@ -154,13 +167,9 @@ def _config_lines(values: dict) -> list[str]:
     return [f"# {k}={v}" for k, v in sorted(_run_settings(values).items())]
 
 
-def cmd_simulate(args) -> int:
-    values = effective(args, _SIM_SPEC)
-    if values["out"] is None:
-        raise FlagError("--out is required")
-    if values["format"] not in ("csv", "json"):
-        raise FlagError(f"unknown format {values['format']!r}")
-    config = RunConfig(
+def _run_config(values: dict) -> RunConfig:
+    """The ensemble run that a command's run values describe."""
+    return RunConfig(
         params=SimParams(values["gamma"], values["tau"], values["alpha"]),
         gain=parse_policy(values["policy"]),
         mode=parse_sampling(values["sampling"]),
@@ -169,41 +178,24 @@ def cmd_simulate(args) -> int:
         n_trajectories=values["trajectories"],
         seed=values["seed"],
     )
+
+
+def cmd_simulate(args) -> int:
+    values = effective(args, _SIM_SPEC)
+    if values["format"] not in ("csv", "json"):
+        raise FlagError(f"unknown format {values['format']!r}")
+    config = _run_config(values)
     result = run_ensemble(config)
+    stats = {"step": list(range(len(result.time)))}
+    stats |= {name: getattr(result, attr).tolist() for name, attr in _STATS_COLUMNS.items()}
     if values["format"] == "csv":
-        lines = _config_lines(values)
-        lines.append(CSV_HEADER)
-        for k in range(len(result.time)):
-            lines.append(
-                ",".join(
-                    [str(k), _fmt(result.time[k])]
-                    + [
-                        _fmt(col[k])
-                        for col in (
-                            result.mean_sx, result.mean_sz,
-                            result.var_sx, result.var_sz,
-                            result.stderr_sx, result.stderr_sz,
-                        )
-                    ]
-                )
-            )
-        Path(values["out"]).write_text("\n".join(lines) + "\n")
+        # floats are written as repr, the shortest text that reads back bit for bit
+        rows = [",".join(map(repr, row)) for row in zip(*stats.values())]
+        text = "\n".join(_config_lines(values) + [CSV_HEADER] + rows) + "\n"
     else:
-        payload = {
-            "config": _run_settings(values),
-            "seed": config.seed,
-            "columns": {
-                "step": list(range(len(result.time))),
-                "time": result.time.tolist(),
-                "mean_sx": result.mean_sx.tolist(),
-                "mean_sz": result.mean_sz.tolist(),
-                "var_sx": result.var_sx.tolist(),
-                "var_sz": result.var_sz.tolist(),
-                "se_sx": result.stderr_sx.tolist(),
-                "se_sz": result.stderr_sz.tolist(),
-            },
-        }
-        Path(values["out"]).write_text(json.dumps(payload, indent=2) + "\n")
+        payload = {"config": _run_settings(values), "seed": config.seed, "columns": stats}
+        text = json.dumps(payload, indent=2) + "\n"
+    Path(values["out"]).write_text(text)
 
     if values["dump-trajectories"]:
         tau = config.params.tau
@@ -215,7 +207,7 @@ def cmd_simulate(args) -> int:
                 # the dumped state is the post-step state, so its time stamp is
                 # (k + 1) * tau, matching the ensemble CSV rows
                 for k, row in enumerate(zip(*(c.tolist() for c in columns)), 1):
-                    f.write(",".join([str(i), str(k), _fmt(k * tau), *map(_fmt, row)]) + "\n")
+                    f.write(",".join([str(i), str(k), repr(k * tau), *map(repr, row)]) + "\n")
     return 0
 
 
@@ -229,8 +221,6 @@ _ORACLE_SPEC = {
 
 def cmd_oracle(args) -> int:
     values = effective(args, _ORACLE_SPEC)
-    if values["out"] is None:
-        raise FlagError("--out is required")
     source = parse_source(values["source"])
     pmf = delta_n_pmf(values["alpha"], source, values["cutoff"])
 
@@ -238,8 +228,7 @@ def cmd_oracle(args) -> int:
     nz = np.nonzero(probs)[0]
     lo, hi = (int(nz[0]), int(nz[-1])) if len(nz) else (0, len(probs) - 1)
     lines = _config_lines(values) + ["delta_n,probability"]
-    for idx in range(lo, hi + 1):
-        lines.append(f"{pmf.offset + idx},{_fmt(probs[idx])}")
+    lines += [f"{pmf.offset + i},{p!r}" for i, p in enumerate(probs[lo : hi + 1].tolist(), lo)]
     Path(values["out"]).write_text("\n".join(lines) + "\n")
 
     summary = {
@@ -258,59 +247,40 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+# Figures change two run defaults: without a --policy the drift field draws
+# all three panels, and record histograms sample the vacuum.
 _FIGURE_SPEC = {
     "kind": (str, "drift-field"),
-    "gamma": (float, 1.0),
-    "tau": (float, 1e-3),
-    "alpha": (float, 100.0),
+    **_RUN_SPEC,
     "policy": (str, None),
     "sampling": (str, "vacuum"),
-    "initial": (str, "excited"),
-    "steps": (int, 1000),
-    "trajectories": (int, 100),
     "samples": (int, 100_000),
     "bins": (int, 100),
-    "seed": (int, 0),
     "grid": (int, 72),
     "out": (str, None),
-}
-
-_POLICY_LABEL = {
-    "none": "No feedback",
-    "compensate": "Compensation",
-    "invert": "Inversion",
 }
 
 
 def cmd_figure(args) -> int:
     values = effective(args, _FIGURE_SPEC)
-    if values["out"] is None:
-        raise FlagError("--out is required")
     params = SimParams(values["gamma"], values["tau"], values["alpha"])
     kind = values["kind"]
     if kind == "drift-field":
-        if values["policy"] is None:
-            policies = ["none", "compensate", "invert"]
-        else:
-            policies = [values["policy"]]
+        policies = list(_POLICIES) if values["policy"] is None else [values["policy"]]
         gains = [parse_policy(p) for p in policies]
         fields = [drift_field(params, g, values["grid"]) for g in gains]
         labels = [
-            _POLICY_LABEL.get(p, f"Custom gain {g:g}") for p, g in zip(policies, gains)
+            _POLICIES[p][1] if p in _POLICIES else f"Custom gain {g:g}"
+            for p, g in zip(policies, gains)
         ]
         svg = drift_field_svg(fields, labels)
     elif kind == "decay":
-        config = RunConfig(
-            params=params,
-            gain=parse_policy(values["policy"] or "none"),
-            mode=parse_sampling("conditional"),
-            initial=parse_initial(values["initial"]),
-            n_steps=values["steps"],
-            n_trajectories=values["trajectories"],
-            seed=values["seed"],
-        )
-        svg = decay_svg(run_ensemble(config))
+        # decay runs the dynamics, whose records are always conditional
+        decay = {**values, "policy": values["policy"] or "none", "sampling": "conditional"}
+        svg = decay_svg(run_ensemble(_run_config(decay)))
     elif kind == "record-histogram":
+        if values["samples"] < 1:
+            raise FlagError(f"samples must be >= 1, got {values['samples']}")
         state = parse_initial(values["initial"])
         mode = parse_sampling(values["sampling"])
         rng = CounterStream(values["seed"], 0)
@@ -344,26 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_flags(p, spec):
-        p.add_argument("--config", help="flat key=value config file")
+    # built per call, so each parse binds the module's handlers as they are now
+    commands = (
+        ("simulate", "run an ensemble and write statistics", _SIM_SPEC, cmd_simulate),
+        ("oracle", "exact photon-difference pmf", _ORACLE_SPEC, cmd_oracle),
+        ("figure", "emit an SVG figure", _FIGURE_SPEC, cmd_figure),
+        ("validate", "run the acceptance suite", {}, cmd_validate),
+    )
+    for name, help_text, spec, func in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if spec:
+            p.add_argument("--config", help="flat key=value config file")
         for key, (conv, _default) in spec.items():
-            p.add_argument(f"--{key}", type=conv if conv else str, default=None)
-
-    p_sim = sub.add_parser("simulate", help="run an ensemble and write statistics")
-    add_flags(p_sim, _SIM_SPEC)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_oracle = sub.add_parser("oracle", help="exact photon-difference pmf")
-    add_flags(p_oracle, _ORACLE_SPEC)
-    p_oracle.set_defaults(func=cmd_oracle)
-
-    p_fig = sub.add_parser("figure", help="emit an SVG figure")
-    add_flags(p_fig, _FIGURE_SPEC)
-    p_fig.set_defaults(func=cmd_figure)
-
-    p_val = sub.add_parser("validate", help="run the acceptance suite")
-    p_val.set_defaults(func=cmd_validate)
-
+            p.add_argument(f"--{key}", type=conv, default=None)
     return parser
 
 

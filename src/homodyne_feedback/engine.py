@@ -362,11 +362,8 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     workers = min(sim_threads(), len(bounds))
     width = min(SLAB_BATCHES, -(-len(bounds) // workers))
     slabs = [bounds[i : i + width] for i in range(0, len(bounds), width)]
-    if workers <= 1:
-        slab_sums = [_slab_sums(config, slab) for slab in slabs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slab_sums = list(pool.map(lambda slab: _slab_sums(config, slab), slabs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        slab_sums = list(pool.map(lambda slab: _slab_sums(config, slab), slabs))
     batch_sums = [s for sums in slab_sums for s in sums]
     total = batch_sums[0]
     for s in batch_sums[1:]:  # fixed reduction order

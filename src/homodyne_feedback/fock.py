@@ -78,10 +78,6 @@ class FockField:
 
     amplitudes: np.ndarray
 
-    @property
-    def cutoff(self) -> int:
-        return self.amplitudes.shape[0] - 1
-
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 

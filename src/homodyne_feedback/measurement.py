@@ -98,7 +98,6 @@ def bayes_dipole_update(
     sx_new = (sx + t) / (1.0 + sx * t)
     sz = state.s_z
     if sz == 0.0:
-        sz_new = 0.0
         # dipole eigenstate: sx_new is +/-1 exactly, phi is unchanged
         return BlochState(math.copysign(0.5 * math.pi, sx_new))
     sz_new = math.copysign(math.sqrt(max(0.0, 1.0 - sx_new * sx_new)), sz)

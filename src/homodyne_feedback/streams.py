@@ -83,6 +83,8 @@ class CounterStream:
         self.counter = 0
 
     def _take(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ValueError(f"draw size must be >= 0, got {n}")
         c = np.arange(self.counter, self.counter + n, dtype=np.uint64)
         self.counter += n
         return raw_words(self.key, c)

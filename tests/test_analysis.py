@@ -17,7 +17,6 @@ from homodyne_feedback import (
     pdf_vacuum,
     rotation_angle,
     run_ensemble,
-    run_trajectory,
     run_trajectory_arrays,
     sample_records,
 )
@@ -118,16 +117,19 @@ class TestEstimateDiffusion:
 
 
 class TestEnsembleStats:
+    @staticmethod
+    def _phi(config, indices):
+        return np.array([run_trajectory_arrays(config, i)[2] for i in indices])
+
     def test_single_trajectory_zero_variance(self):
         config = RunConfig(params=PARAMS, n_steps=20, n_trajectories=1, seed=60)
-        res = ensemble_stats([run_trajectory(config, 0)], config)
+        res = ensemble_stats(self._phi(config, [0]), config)
         assert np.all(res.var_sx == 0.0)
         assert np.all(res.stderr_sz == 0.0)
 
     def test_identical_trajectories_zero_stderr(self):
         config = RunConfig(params=PARAMS, n_steps=20, n_trajectories=1, seed=61)
-        traj = run_trajectory(config, 0)
-        res = ensemble_stats([traj, traj, traj], config)
+        res = ensemble_stats(self._phi(config, [0, 0, 0]), config)
         # the sum-of-squares variance formula, shared with run_ensemble, leaves
         # rounding noise of order eps in the variance and so of order
         # sqrt(eps) in the standard error
@@ -137,31 +139,32 @@ class TestEnsembleStats:
             assert np.all(stderr <= math.sqrt(noise / 2))
 
     def test_ragged_input_rejected(self):
+        # rows of different lengths do not form an (n, n_steps) array
         config = RunConfig(params=PARAMS, n_steps=20, n_trajectories=1, seed=62)
         short = RunConfig(params=PARAMS, n_steps=19, n_trajectories=1, seed=62)
-        with pytest.raises(ValueError, match="trajectory 1 has 19 records"):
-            ensemble_stats([run_trajectory(config, 0), run_trajectory(short, 0)], config)
+        with pytest.raises(ValueError):
+            ensemble_stats([self._phi(config, [0])[0], self._phi(short, [0])[0]], config)
 
     def test_length_other_than_config_steps_rejected(self):
-        # equal lengths are not enough: every trajectory must be config's run
+        # a rectangular array is not enough: every row must be config's run
         config = RunConfig(params=PARAMS, n_steps=20, n_trajectories=2, seed=62)
         short = RunConfig(params=PARAMS, n_steps=19, n_trajectories=2, seed=62)
-        trajectories = [run_trajectory(short, i) for i in range(2)]
-        with pytest.raises(ValueError, match="config.n_steps = 20"):
-            ensemble_stats(trajectories, config)
-        assert ensemble_stats(trajectories, short).mean_sz.shape == (20,)
+        phi = self._phi(short, range(2))
+        with pytest.raises(ValueError, match=r"shape \(n >= 1, 20\), got \(2, 19\)"):
+            ensemble_stats(phi, config)
+        assert ensemble_stats(phi, short).mean_sz.shape == (20,)
 
     def test_empty_input_rejected(self):
         config = RunConfig(params=PARAMS, n_steps=20, n_trajectories=1, seed=62)
-        with pytest.raises(ValueError, match="need at least one trajectory"):
-            ensemble_stats([], config)
+        with pytest.raises(ValueError, match=r"got \(0, 20\)"):
+            ensemble_stats(np.empty((0, 20)), config)
 
     def test_matches_run_ensemble_moments(self):
         # one batch: both paths sum the same values in the same order and
         # share one reducer, so every moment is bit-identical
         config = RunConfig(params=PARAMS, n_steps=30, n_trajectories=40, seed=63)
         direct = run_ensemble(config)
-        rebuilt = ensemble_stats([run_trajectory(config, i) for i in range(40)], config)
+        rebuilt = ensemble_stats(self._phi(config, range(40)), config)
         for name in ("time", "mean_sx", "mean_sz", "var_sx", "var_sz", "stderr_sx", "stderr_sz"):
             assert np.array_equal(getattr(direct, name), getattr(rebuilt, name)), name
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import homodyne_feedback
-from homodyne_feedback import validation
+from homodyne_feedback import cli, validation
 from homodyne_feedback.cli import CSV_HEADER, TRAJ_HEADER, main
 
 
@@ -314,6 +314,80 @@ class TestFigure:
         assert main(
             ["figure", "--kind", "mystery", "--out", str(tmp_path / "x.svg")]
         ) == 2
+
+    @pytest.mark.parametrize("samples", ["-5", "0"])
+    def test_samples_below_one_exits_2(self, tmp_path, capsys, samples):
+        out = tmp_path / "x.svg"
+        assert main(
+            ["figure", "--kind", "record-histogram", "--samples", samples, "--out", str(out)]
+        ) == 2
+        assert f"samples must be >= 1, got {samples}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutputsPinned:
+    # sha256 of each output file; a changed byte is a format, model or RNG
+    # change, never a refactoring
+    CONFIG = "policy=custom:0.5\ninitial=phi:1.0\nsampling=vacuum\nsteps=40\ntrajectories=30\nseed=11\n"
+    CASES = {
+        "simulate-json": (
+            ["simulate", "--format", "json", "--sampling", "vacuum", "--policy", "compensate",
+             "--steps", "40", "--trajectories", "30", "--seed", "4"],
+            "c64a9cf7f2cbcd091d2ddea0459e58443d69bb515e549f7031f5d179531c4947",
+        ),
+        "simulate-config": (
+            ["simulate", "--config", "{cfg}", "--trajectories", "25"],
+            "1b9e6b9e9fcbc7967fd32b950c664530258cc686cd9b1fbf925db2533bd38262",
+        ),
+        "drift-field": (
+            ["figure", "--kind", "drift-field"],
+            "e861dd502b790e99e800f9db1b4582666944e55ba6391927566cfb0649cbaff8",
+        ),
+        "drift-field-custom": (
+            ["figure", "--kind", "drift-field", "--policy", "custom:1"],
+            "acd3f1721cdb2858ed8ddef9c2c87f2e9b84a2f54157125c0a3510e79043f79a",
+        ),
+        "decay": (
+            ["figure", "--kind", "decay", "--steps", "60", "--trajectories", "25", "--seed", "2"],
+            "d036af0d1fe8a1913a86cef504fdd734a4f8b9a7476d1c55a418d68fdc977e2f",
+        ),
+        "decay-compensate": (
+            ["figure", "--kind", "decay", "--policy", "compensate", "--initial", "phi:2.0",
+             "--steps", "60", "--trajectories", "25", "--seed", "2"],
+            "e76c2a5c319f25934e3e0915a3d0068eda9297c509afe67bf8da4f018963fe61",
+        ),
+        "record-histogram": (
+            ["figure", "--kind", "record-histogram", "--samples", "3000", "--bins", "40",
+             "--seed", "9"],
+            "0cfa79842013ec748b8ab275fabe7e8bc2f853d1142b1fb7698652b0395c5cc6",
+        ),
+        "record-histogram-conditional": (
+            ["figure", "--kind", "record-histogram", "--sampling", "conditional",
+             "--initial", "dipole+", "--samples", "3000", "--seed", "9"],
+            "b67202d42998801209c51881f6f39c06fde746ee1a6d09a40983dd16d5b3f6bc",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_bytes_pinned(self, tmp_path, case):
+        argv, digest = self.CASES[case]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CONFIG)
+        out = tmp_path / "out"
+        argv = [a.replace("{cfg}", str(cfg)) for a in argv]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_main_dispatches_through_module_attributes(monkeypatch, tmp_path, command):
+    # tracing tools swap cli.cmd_simulate and cli.cmd_oracle on the module, so
+    # main must find the handler there at call time
+    calls = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: calls.append(args.command) or 7)
+    assert main([command, "--out", str(tmp_path / "x")]) == 7
+    assert calls == [command]
+    assert not (tmp_path / "x").exists()
 
 
 class TestImportCost:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from homodyne_feedback import CounterStream, stream_key
 from homodyne_feedback.streams import box_muller, raw_words, to_unit
@@ -27,6 +28,17 @@ class TestStreamDerivation:
         t = CounterStream(5, 3)
         singles = [t.uniform() for _ in range(8)]
         assert block.tolist() == singles
+
+    @pytest.mark.parametrize("draw", ["uniform", "standard_normal"])
+    def test_negative_size_rejected_without_consuming(self, draw):
+        s = CounterStream(1, 0)
+        s.uniform(3)
+        with pytest.raises(ValueError, match="draw size must be >= 0, got -"):
+            getattr(s, draw)(-5)
+        assert s.counter == 3
+        # the stream goes on from where it stood, as if the call never happened
+        assert s.uniform(4).tolist() == CounterStream(1, 0).uniform(7)[3:].tolist()
+        assert s.uniform(0).shape == (0,)
 
 
 class TestOutputQuality:
