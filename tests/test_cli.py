@@ -328,7 +328,10 @@ class TestFigure:
 class TestOutputsPinned:
     # sha256 of each output file; a changed byte is a format, model or RNG
     # change, never a refactoring
-    CONFIG = "policy=custom:0.5\ninitial=phi:1.0\nsampling=vacuum\nsteps=40\ntrajectories=30\nseed=11\n"
+    CONFIG = (
+        "policy=custom:0.5\ninitial=phi:1.0\nsampling=vacuum\n"
+        "steps=40\ntrajectories=30\nseed=11\n"
+    )
     CASES = {
         "simulate-json": (
             ["simulate", "--format", "json", "--sampling", "vacuum", "--policy", "compensate",
