@@ -248,12 +248,13 @@ def cmd_oracle(args) -> int:
 
 
 # Figures change two run defaults: without a --policy the drift field draws
-# all three panels, and record histograms sample the vacuum.
+# all three panels and the decay runs without feedback; without a --sampling
+# record histograms sample the vacuum and the decay runs conditional records.
 _FIGURE_SPEC = {
     "kind": (str, "drift-field"),
     **_RUN_SPEC,
     "policy": (str, None),
-    "sampling": (str, "vacuum"),
+    "sampling": (str, None),
     "samples": (int, 100_000),
     "bins": (int, 100),
     "grid": (int, 72),
@@ -276,13 +277,19 @@ def cmd_figure(args) -> int:
         svg = drift_field_svg(fields, labels)
     elif kind == "decay":
         # decay runs the dynamics, whose records are always conditional
-        decay = {**values, "policy": values["policy"] or "none", "sampling": "conditional"}
+        if values["sampling"] not in (None, "conditional"):
+            raise FlagError(
+                "figure --kind decay runs conditional records, "
+                f"got --sampling {values['sampling']!r}"
+            )
+        policy = "none" if values["policy"] is None else values["policy"]
+        decay = {**values, "policy": policy, "sampling": "conditional"}
         svg = decay_svg(run_ensemble(_run_config(decay)))
     elif kind == "record-histogram":
         if values["samples"] < 1:
             raise FlagError(f"samples must be >= 1, got {values['samples']}")
         state = parse_initial(values["initial"])
-        mode = parse_sampling(values["sampling"])
+        mode = parse_sampling("vacuum" if values["sampling"] is None else values["sampling"])
         rng = CounterStream(values["seed"], 0)
         records = sample_records(state, params, mode, rng, values["samples"])
         span = 5.0 * params.alpha

@@ -6,13 +6,15 @@ any worker count.  Ensembles run through the batched kernel `_advance`.
 
 An ensemble is cut into fixed batches of BATCH_SIZE trajectories, and each
 worker advances a slab, a run of up to SLAB_BATCHES consecutive batches, as
-one wide lane array.  Every per-step operation writes into a workspace the
-kernel allocates once per slab.  The kernel keeps one set of per-step sums
-per batch: the row sums of a (batches, BATCH_SIZE) view of each lane array,
-with a ragged last batch summed as its own slice.  Each is the same pairwise
-sum over the same lanes as that batch's own 1-D `.sum()`, so it is equal bit
-for bit however batches are grouped into slabs, and the batches are reduced
-in batch order.  The result therefore does not depend on the worker count.
+one wide lane array.  Every per-step operation and every chunk's random
+draws write into a workspace the kernel allocates once per slab, so the
+kernel allocates no lane array per step or per chunk.  The kernel keeps one
+set of per-step sums per batch: the row sums of a (batches, BATCH_SIZE) view
+of each lane array, with a ragged last batch summed as its own slice.  Each
+is the same pairwise sum over the same lanes as that batch's own 1-D
+`.sum()`, so it is equal bit for bit however batches are grouped into
+slabs, and the batches are reduced in batch order.  The result therefore
+does not depend on the worker count.
 
 A single trajectory runs through `run_trajectory_arrays`, a plain float loop
 over the same draws that repeats the kernel's float64 operations in the
@@ -43,10 +45,11 @@ BATCH_SIZE = 4096
 
 # Upper bound on random words precomputed at once per word array.  That is
 # a chunk of 8 steps at BATCH_SIZE lanes and of 2 steps in a 4-batch slab:
-# each word, uniform and normal array is 256 KiB, so a chunk's RNG arrays
-# and their temporaries fit a 2 MiB L2 cache, and a worker's memory does not
-# grow with n_steps.  Much larger chunks stream tens of MB through memory
-# and run slower.
+# each of the kernel's draw buffers (two word arrays, three float arrays,
+# two in vacuum mode) is 256 KiB, allocated once per slab and refilled every
+# chunk, so they fit a 2 MiB L2 cache and a worker's memory does not grow
+# with n_steps.  Much larger chunks stream tens of MB through memory and run
+# slower.
 # Chunking never changes a value: word k of a stream depends only on (key, k).
 _WORD_BUDGET = 1 << 15
 
@@ -144,7 +147,7 @@ def sim_threads() -> int:
     """Worker cap from SIM_THREADS (positive integer), else hardware default."""
     raw = os.environ.get("SIM_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        return _hardware_threads()
     try:
         n = int(raw)
     except ValueError:
@@ -152,6 +155,11 @@ def sim_threads() -> int:
     if n < 1:
         raise ValueError(f"SIM_THREADS must be a positive integer, got {raw!r}")
     return n
+
+
+def _hardware_threads() -> int:
+    """The CPU count, or 1 where it is unknown."""
+    return os.cpu_count() or 1
 
 
 def check_gain(g: float) -> float:
@@ -170,33 +178,55 @@ def _angle_scale(params: SimParams, g: float) -> float:
     return math.sqrt(params.gamma * params.tau) * max(abs(2.0 - g), abs(g))
 
 
+def _chunk_steps(n_steps: int, lanes: int) -> int:
+    """Steps per chunk: at most _WORD_BUDGET draws per word array."""
+    return max(1, min(n_steps, _WORD_BUDGET // max(1, lanes)))
+
+
 def _chunks(n_steps: int, lanes: int):
-    """(k0, k1) step ranges holding at most _WORD_BUDGET draws per word array."""
-    chunk = max(1, min(n_steps, _WORD_BUDGET // max(1, lanes)))
+    """(k0, k1) step ranges of _chunk_steps steps each, the last ragged."""
+    chunk = _chunk_steps(n_steps, lanes)
     for k0 in range(0, n_steps, chunk):
         yield k0, min(n_steps, k0 + chunk)
 
 
-def _draws(keys, k0, k1, conditional):
+def _draw_buffers(steps: int, lanes: int, conditional: bool):
+    """Draw workspace for up to `steps` steps, each plane (steps, lanes):
+    uint64 words and their mixing scratch; float64 Box-Muller uniforms (the
+    first plane ends up holding the normals) and, in conditional mode, the
+    record uniforms."""
+    words = np.empty((2, steps, lanes), dtype=np.uint64)
+    floats = np.empty((3 if conditional else 2, steps, lanes))
+    return words, floats
+
+
+def _draws(keys, k0, k1, conditional, buffers):
     """Uniforms (None in vacuum mode) and normals of steps k0..k1-1, shape
     (k1 - k0, lanes).  A conditional step takes counters 3k (uniform) and
     3k+1, 3k+2 (Box-Muller); a vacuum step takes 2k, 2k+1.  Word k of a
-    stream depends only on (key, k), so chunking never changes a value."""
+    stream depends only on (key, k), so chunking never changes a value.
+
+    The draws are written into `buffers` (from `_draw_buffers`, for at
+    least k1 - k0 steps and len(keys) lanes); the returned arrays are views
+    of them, valid until the next call.
+    """
+    m = k1 - k0
+    (words, scratch), floats = buffers
+    words, scratch, floats = words[:m], scratch[:m], floats[:, :m]
     base = (
         np.arange(k0, k1, dtype=np.uint64) * np.uint64(3 if conditional else 2)
     )[:, None]
-    if conditional:
-        u = to_unit(raw_words(keys, base))
-        z = box_muller(
-            to_unit(raw_words(keys, base + np.uint64(1))),
-            to_unit(raw_words(keys, base + np.uint64(2))),
-        )
-        return u, z
+
+    def unit(offset, out):
+        w = raw_words(keys, base + np.uint64(offset), out=words, scratch=scratch)
+        return to_unit(w, out=out, scratch=w)
+
+    u = unit(0, floats[2]) if conditional else None
+    pair = 1 if conditional else 0  # counter offset of the Box-Muller pair
     z = box_muller(
-        to_unit(raw_words(keys, base)),
-        to_unit(raw_words(keys, base + np.uint64(1))),
+        unit(pair, floats[0]), unit(pair + 1, floats[1]), out=floats[0], scratch=floats[1]
     )
-    return None, z
+    return u, z
 
 
 def _batch_rows(x, out):
@@ -218,8 +248,9 @@ def _advance(phi, keys, params, g, conditional, n_steps):
     phi: (n,) float64 angles; keys: (n,) uint64 stream keys.  Lanes
     b*BATCH_SIZE .. (b+1)*BATCH_SIZE - 1 are batch b; the last may be
     ragged.  Every per-step operation writes with `out=` into a workspace
-    allocated once per call, so a step allocates no lane array; only the
-    draws are allocated, once per chunk.
+    allocated once per call, and each chunk's draws are written into draw
+    buffers allocated beside it, so neither a step nor a chunk allocates a
+    lane array.
     """
     phi = np.array(phi, dtype=np.float64, copy=True)
     keys = np.asarray(keys, dtype=np.uint64)
@@ -243,14 +274,16 @@ def _advance(phi, keys, params, g, conditional, n_steps):
         _batch_rows(sz, sums[:, k, 2])
         _batch_rows(np.multiply(sz, sz, out=tmp), sums[:, k, 3])
 
+    draw_buffers = _draw_buffers(_chunk_steps(n_steps, n), n, conditional)
+
     record(0)
     for k0, k1 in _chunks(n_steps, n):
-        u = z = None  # free the last chunk's draws before drawing this one's
-        u, z = _draws(keys, k0, k1, conditional)
+        u, z = _draws(keys, k0, k1, conditional, draw_buffers)
         # |delta_n / alpha| <= sqrt_gt + |z|.  One turn of wrapping keeps
         # phi in (-pi, pi] while |theta| <= 2 pi; only chunks whose draws
-        # could rotate by more than pi check every lane.
-        full_wrap = scale * (sqrt_gt + np.abs(z).max()) > _PI
+        # could rotate by more than pi check every lane.  max |z| is taken
+        # from z's extremes, which needs no temporary.
+        full_wrap = scale * (sqrt_gt + max(z.max(), -z.min())) > _PI
         for i, k in enumerate(range(k0, k1)):
             # delta_n = center + alpha * z, center = mu where u < (1 + s_x) / 2
             # and -mu elsewhere.  The center is (u < ...) * 2 mu - mu, which
@@ -308,8 +341,9 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
     out = np.empty((3, config.n_steps))  # delta_n, theta, phi
     phi = config.initial.phi
     sx, sz = sin(phi), cos(phi)
+    draw_buffers = _draw_buffers(_chunk_steps(config.n_steps, 1), 1, conditional)
     for k0, k1 in _chunks(config.n_steps, 1):
-        u, z = _draws(keys, k0, k1, conditional)
+        u, z = _draws(keys, k0, k1, conditional, draw_buffers)
         us = u[:, 0].tolist() if conditional else None
         rows = []  # flat (delta_n, theta, phi) triples: cheap to append and convert
         for i, zi in enumerate(z[:, 0].tolist()):
@@ -362,7 +396,9 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     workers = min(sim_threads(), len(bounds))
     width = min(SLAB_BATCHES, -(-len(bounds) // workers))
     slabs = [bounds[i : i + width] for i in range(0, len(bounds), width)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # the slab width follows SIM_THREADS; the threads started do not exceed
+    # the hardware's, so a large SIM_THREADS does not start one per slab
+    with ThreadPoolExecutor(max_workers=min(workers, _hardware_threads())) as pool:
         slab_sums = list(pool.map(lambda slab: _slab_sums(config, slab), slabs))
     batch_sums = [s for sums in slab_sums for s in sums]
     total = batch_sums[0]

@@ -20,14 +20,16 @@ _TWO_M53 = 1.0 / 9007199254740992.0  # 2**-53
 _TWO_PI = 2.0 * np.pi
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on uint64 data (vectorized, modular arithmetic)."""
+def _mix(z, scratch=None):
+    """splitmix64 finalizer on uint64 data (vectorized, modular arithmetic),
+    in place on an array z, with the shifted copies in `scratch` (fresh when
+    None)."""
     with np.errstate(over="ignore"):
-        z = z ^ (z >> np.uint64(30))  # fresh array: the rest works in place
+        z ^= np.right_shift(z, np.uint64(30), out=scratch)
         z *= _MIX1
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=scratch)
         z *= _MIX2
-        z ^= z >> np.uint64(31)
+        z ^= np.right_shift(z, np.uint64(31), out=scratch)
         return z
 
 
@@ -44,29 +46,35 @@ def stream_key(seed, index) -> np.ndarray:
     return _mix(s ^ inner)
 
 
-def raw_words(key, counters) -> np.ndarray:
-    """Raw 64-bit output words at the given counter positions."""
+def raw_words(key, counters, out=None, scratch=None) -> np.ndarray:
+    """Raw 64-bit output words at the given counter positions, into `out`
+    (uint64, the broadcast shape of key and counters) with the mixing steps'
+    shifted copies in `scratch` (same shape); each is fresh when None."""
     c = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        state = np.asarray(key, dtype=np.uint64) + (c + np.uint64(1)) * _GOLDEN
-    return _mix(state)
+        state = np.add(np.asarray(key, dtype=np.uint64), (c + np.uint64(1)) * _GOLDEN, out=out)
+    return _mix(state, scratch)
 
 
-def to_unit(words: np.ndarray) -> np.ndarray:
-    """Map 64-bit words to floats in the open interval (0, 1)."""
-    u = (words >> np.uint64(11)).astype(np.float64)
-    u += 0.5
+def to_unit(words: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Map 64-bit words to floats in the open interval (0, 1), into `out`
+    with the shifted words in `scratch` (uint64, which may be `words`); each
+    is fresh when None."""
+    top = np.right_shift(words, np.uint64(11), out=scratch)
+    # the cast of the 53-bit integers to float64 is exact; then 0.5 is added
+    u = np.add(top, 0.5, out=out)
     u *= _TWO_M53
     return u
 
 
-def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+def box_muller(u1: np.ndarray, u2: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Standard normal deviates from two arrays of unit uniforms (cosine
-    branch only)."""
-    r = np.log(u1)
+    branch only), into `out` (which may be `u1`) with the cosines in
+    `scratch` (which may be `u2`); each is fresh when None."""
+    r = np.log(u1, out=out)
     r *= -2.0
     np.sqrt(r, out=r)
-    c = _TWO_PI * u2
+    c = np.multiply(_TWO_PI, u2, out=scratch)
     np.cos(c, out=c)
     r *= c
     return r

@@ -287,6 +287,25 @@ class TestFigure:
         ) == 0
         assert 'class="mean-sz"' in out.read_text()
 
+    @pytest.mark.parametrize(
+        "argv", [["simulate"], ["figure", "--kind", "drift-field"], ["figure", "--kind", "decay"]]
+    )
+    def test_empty_policy_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main([*argv, "--policy", "", "--steps", "5", "--out", str(out)]) == 2
+        assert "unknown policy ''" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sampling", ["vacuum", "bogus", ""])
+    def test_decay_rejects_other_sampling(self, tmp_path, capsys, sampling):
+        out = tmp_path / "x.svg"
+        argv = ["figure", "--kind", "decay", "--steps", "5", "--out", str(out)]
+        assert main([*argv, "--sampling", sampling]) == 2
+        err = capsys.readouterr().err
+        assert f"figure --kind decay runs conditional records, got --sampling {sampling!r}" in err
+        assert not out.exists()
+        assert main([*argv, "--sampling", "conditional"]) == 0
+
     def test_record_histogram(self, tmp_path):
         out = tmp_path / "fig.svg"
         assert main(

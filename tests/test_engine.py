@@ -247,6 +247,44 @@ class TestRunEnsemble:
                     getattr(results["1"], name), getattr(res, name)
                 ), (t, name)
 
+    @pytest.mark.parametrize("cpus,threads", [(2, 2), (None, 1)])
+    def test_thread_pool_bounded_by_hardware(self, monkeypatch, cpus, threads):
+        # SIM_THREADS far above the CPU count keeps its layout, one batch a
+        # slab, but the pool starts no more threads than the machine has
+        pools, slabs = [], []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        slab_sums = engine._slab_sums
+
+        def counted(config, slab):
+            slabs.append(len(slab))
+            return slab_sums(config, slab)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(engine, "_slab_sums", counted)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        config = make_config(n_trajectories=5 * engine.BATCH_SIZE + 123, n_steps=5, seed=6)
+        results = {}
+        for t in ("10000", "1"):
+            monkeypatch.setenv("SIM_THREADS", t)
+            results[t] = run_ensemble(config)
+        assert pools == [threads, 1]
+        assert slabs == [1] * 6 + [4, 2]
+        for name in MOMENTS:
+            assert np.array_equal(getattr(results["10000"], name), getattr(results["1"], name))
+
     # sha256 of the float64 bytes of mean, var and stderr (s_x, s_z each)
     PINNED = {
         SamplingMode.VACUUM: "2b9089741b077bc9f0a31be187c67257b6594f3545c337ed41102862e1c8748f",
@@ -343,6 +381,51 @@ class TestChunking:
                 sx, sz = np.sin(angles), np.cos(angles)
                 own = [sx.sum(), (sx * sx).sum(), sz.sum(), (sz * sz).sum()]
                 assert np.array_equal(sums[b, k], own), (b, k)
+
+
+class TestBufferedDraws:
+    @pytest.mark.parametrize("conditional", [True, False])
+    def test_buffers_match_allocating_path_and_scalar_streams(self, conditional):
+        # lanes not a multiple of BATCH_SIZE; the buffers hold 5 steps, and
+        # after a full chunk the next call draws a ragged 3 into them
+        n, seed, k0, k1 = engine.BATCH_SIZE + 37, 4, 10, 13
+        keys = stream_key(seed, np.arange(n, dtype=np.uint64))
+        buffers = engine._draw_buffers(5, n, conditional)
+        engine._draws(keys, 0, 5, conditional, buffers)
+        u, z = engine._draws(keys, k0, k1, conditional, buffers)
+        fresh = engine._draw_buffers(k1 - k0, n, conditional)
+        fresh_u, fresh_z = engine._draws(keys, k0, k1, conditional, fresh)
+        assert z.shape == (k1 - k0, n) and np.shares_memory(z, buffers[1])
+        assert np.array_equal(z, fresh_z)
+        if conditional:
+            assert u.shape == (k1 - k0, n) and np.shares_memory(u, buffers[1])
+            assert np.array_equal(u, fresh_u)
+        else:
+            assert u is None and fresh_u is None
+        # each lane is its trajectory's stream consumed one value at a time
+        per_step = 3 if conditional else 2
+        for j in (0, engine.BATCH_SIZE - 1, engine.BATCH_SIZE, n - 1):
+            stream = CounterStream(seed, j)
+            stream.uniform(k0 * per_step)  # the counters of steps 0..k0-1
+            for i in range(k1 - k0):
+                if conditional:
+                    assert u[i, j] == stream.uniform(), (i, j)
+                assert z[i, j] == stream.standard_normal(), (i, j)
+
+    def test_advance_does_not_fault_per_chunk(self):
+        # freed per-chunk draw arrays went back to the OS and faulted in
+        # again every chunk: 22,528 minor faults over this run
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RUSAGE_THREAD"):
+            pytest.skip("per-thread rusage is not available")
+        n = 4 * engine.BATCH_SIZE
+        keys = stream_key(1, np.arange(n, dtype=np.uint64))
+        phi0 = np.zeros(n)
+        engine._advance(phi0, keys, PARAMS, 0.0, True, 20)
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        engine._advance(phi0, keys, PARAMS, 0.0, True, 200)
+        faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+        assert faults < 2000
 
 
 class TestRunConfigValidation:

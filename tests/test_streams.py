@@ -82,3 +82,49 @@ def test_transforms_leave_their_inputs_unmodified():
     box_muller(u1, u2)
     for a, b in zip(inputs, saved):
         assert np.array_equal(a, b)
+
+
+class TestOutForms:
+    """Each transform's `out=` form writes the allocating form's bits into
+    its `out` and `scratch` arrays and touches nothing else."""
+
+    @staticmethod
+    def inputs():
+        keys = stream_key(3, np.arange(64, dtype=np.uint64))
+        counters = np.arange(5, dtype=np.uint64)[:, None]
+        return keys, counters
+
+    def test_raw_words(self):
+        keys, counters = self.inputs()
+        saved = keys.copy(), counters.copy()
+        out = np.full((5, 64), 7, dtype=np.uint64)
+        scratch = np.empty_like(out)
+        got = raw_words(keys, counters, out=out, scratch=scratch)
+        assert got is out
+        assert np.array_equal(out, raw_words(keys, counters))
+        assert np.array_equal(keys, saved[0]) and np.array_equal(counters, saved[1])
+
+    def test_to_unit(self):
+        keys, counters = self.inputs()
+        words = raw_words(keys, counters)
+        saved = words.copy()
+        out = np.full(words.shape, np.nan)
+        assert to_unit(words, out=out, scratch=np.empty_like(words)) is out
+        assert np.array_equal(out, to_unit(words))
+        assert np.array_equal(words, saved)
+        # the words may serve as their own scratch
+        assert np.array_equal(to_unit(words, out=np.empty(words.shape), scratch=words), out)
+
+    def test_box_muller(self):
+        keys, counters = self.inputs()
+        u1 = to_unit(raw_words(keys, counters))
+        u2 = to_unit(raw_words(keys, counters + np.uint64(1)))
+        saved = u1.copy(), u2.copy()
+        want = box_muller(u1, u2)
+        out, scratch = np.full(u1.shape, np.nan), np.full(u1.shape, np.nan)
+        assert box_muller(u1, u2, out=out, scratch=scratch) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(u1, saved[0]) and np.array_equal(u2, saved[1])
+        # in place over its inputs, as the kernel calls it
+        assert box_muller(u1, u2, out=u1, scratch=u2) is u1
+        assert np.array_equal(u1, want)
