@@ -88,8 +88,8 @@ class SimParams:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if not (self.tau > 0.0):
             raise ValueError(f"tau must be > 0, got {self.tau}")
-        if not (self.alpha > 0.0):
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         gt = self.gamma * self.tau
         if gt > WEAK_COUPLING_MAX:
             raise ValueError(

@@ -247,25 +247,35 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-# Figures change two run defaults: without a --policy the drift field draws
-# all three panels and the decay runs without feedback; without a --sampling
-# record histograms sample the vacuum and the decay runs conditional records.
-_FIGURE_SPEC = {
-    "kind": (str, "drift-field"),
-    **_RUN_SPEC,
-    "policy": (str, None),
-    "sampling": (str, None),
-    "samples": (int, 100_000),
-    "bins": (int, 100),
-    "grid": (int, 72),
-    "out": (str, None),
+# Values a figure kind may read, key -> (converter, default).  With no --policy
+# the drift field draws all three panels and the decay runs without feedback.
+_FIGURE_VALUES = {
+    **_RUN_SPEC, "policy": (str, None), "sampling": (str, "vacuum"),
+    "samples": (int, 100_000), "bins": (int, 100), "grid": (int, 72),
+}
+_FIGURE_SPEC = {"kind": (str, "drift-field"), **_FIGURE_VALUES, "out": (str, None)}
+
+# Figure kind -> the values it reads; every kind also takes --kind and --out.
+_PARAMS = ("gamma", "tau", "alpha")
+_FIGURE_KINDS = {
+    "drift-field": (*_PARAMS, "policy", "grid"),
+    "decay": (*_PARAMS, "policy", "initial", "steps", "trajectories", "seed"),
+    "record-histogram": (*_PARAMS, "initial", "sampling", "seed", "samples", "bins"),
 }
 
 
 def cmd_figure(args) -> int:
-    values = effective(args, _FIGURE_SPEC)
+    file_values = read_config_file(args.config, set(_FIGURE_SPEC)) if args.config else {}
+    kind = file_values.get("kind", "drift-field") if args.kind is None else args.kind
+    if kind not in _FIGURE_KINDS:
+        raise FlagError(f"unknown figure kind {kind!r}")
+    reads = _FIGURE_KINDS[kind]
+    unread = [k for k in _FIGURE_VALUES if k not in reads and getattr(args, k) is not None]
+    if unread:
+        takes = ", ".join(f"--{k}" for k in reads)
+        raise FlagError(f"figure --kind {kind} does not take --{unread[0]} (it takes {takes})")
+    values = effective(args, {k: _FIGURE_SPEC[k] for k in ("kind", *reads, "out")})
     params = SimParams(values["gamma"], values["tau"], values["alpha"])
-    kind = values["kind"]
     if kind == "drift-field":
         policies = list(_POLICIES) if values["policy"] is None else [values["policy"]]
         gains = [parse_policy(p) for p in policies]
@@ -277,26 +287,19 @@ def cmd_figure(args) -> int:
         svg = drift_field_svg(fields, labels)
     elif kind == "decay":
         # decay runs the dynamics, whose records are always conditional
-        if values["sampling"] not in (None, "conditional"):
-            raise FlagError(
-                "figure --kind decay runs conditional records, "
-                f"got --sampling {values['sampling']!r}"
-            )
         policy = "none" if values["policy"] is None else values["policy"]
         decay = {**values, "policy": policy, "sampling": "conditional"}
         svg = decay_svg(run_ensemble(_run_config(decay)))
-    elif kind == "record-histogram":
+    else:  # record-histogram
         if values["samples"] < 1:
             raise FlagError(f"samples must be >= 1, got {values['samples']}")
         state = parse_initial(values["initial"])
-        mode = parse_sampling("vacuum" if values["sampling"] is None else values["sampling"])
+        mode = parse_sampling(values["sampling"])
         rng = CounterStream(values["seed"], 0)
         records = sample_records(state, params, mode, rng, values["samples"])
         span = 5.0 * params.alpha
         hist = histogram(records, values["bins"], (-span, span))
         svg = histogram_svg(hist, params.alpha)
-    else:
-        raise FlagError(f"unknown figure kind {kind!r}")
     Path(values["out"]).write_text(svg)
     return 0
 

@@ -46,9 +46,12 @@ class SourceSpec:
     def __post_init__(self):
         if self.kind not in ("vacuum", "coherent", "qubit"):
             raise ValueError(f"unknown source kind {self.kind!r}")
+        for name in ("beta", "c0", "c1"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "qubit":
             norm = abs(self.c0) ** 2 + abs(self.c1) ** 2
-            if abs(norm - 1.0) > 1e-12:
+            if not abs(norm - 1.0) <= 1e-12:  # written so that a NaN norm fails
                 raise ValueError(f"qubit amplitudes not normalized: |c0|^2+|c1|^2 = {norm}")
 
     @classmethod
@@ -159,10 +162,12 @@ def beamsplitter_output(lo_alpha: float, source: SourceSpec, cutoff: int | None 
     """
     from scipy.special import gammaln
 
-    if lo_alpha < 0.0:
-        raise ValueError(f"lo_alpha must be >= 0, got {lo_alpha}")
+    if not (0.0 <= lo_alpha < math.inf):
+        raise ValueError(f"lo_alpha must be finite and >= 0, got {lo_alpha}")
     if cutoff is None:
         cutoff = default_cutoff(lo_alpha)
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     a = coherent_amplitudes(lo_alpha, cutoff)
     leak = 1.0 - float(np.sum(np.abs(a) ** 2))
     if leak > 1e-10:

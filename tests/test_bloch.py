@@ -64,6 +64,11 @@ class TestSimParams:
         with pytest.raises(ValueError):
             SimParams(gamma=1.0, tau=1e-3, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be finite and > 0, got {alpha}"):
+            SimParams(gamma=1.0, tau=1e-3, alpha=alpha)
+
     def test_weak_coupling_cap(self):
         with pytest.raises(ValueError):
             SimParams(gamma=1.0, tau=0.2, alpha=10.0)

@@ -135,14 +135,14 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["simulate", "--policy", "custom:10.5"],
-            ["simulate", "--policy", "custom:nan"],
+            ["simulate", "--policy", "custom:10.5", "--steps", "5"],
+            ["simulate", "--policy", "custom:nan", "--steps", "5"],
             ["figure", "--kind", "drift-field", "--policy", "custom:-10.5"],
         ],
     )
     def test_gain_out_of_range_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x"
-        assert main([*argv, "--steps", "5", "--out", str(out)]) == 2
+        assert main([*argv, "--out", str(out)]) == 2
         assert "custom gain must be finite with |g| <= 10.0" in capsys.readouterr().err
         assert not out.exists()
 
@@ -239,6 +239,33 @@ class TestOracle:
             ]
         ) == 4
 
+    def test_negative_cutoff_exits_2(self, tmp_path, capsys):
+        assert main(["oracle", "--cutoff", "-3", "--out", str(tmp_path / "pmf.csv")]) == 2
+        assert "cutoff must be >= 0, got -3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simulate", "--alpha", "inf", "--steps", "5"], "alpha must be finite and > 0, got inf"),
+        (["simulate", "--alpha", "nan", "--steps", "5"], "alpha must be finite and > 0, got nan"),
+        (
+            ["figure", "--kind", "drift-field", "--alpha", "inf"],
+            "alpha must be finite and > 0, got inf",
+        ),
+        (["oracle", "--alpha", "inf"], "lo_alpha must be finite and >= 0, got inf"),
+        (["oracle", "--alpha", "nan"], "lo_alpha must be finite and >= 0, got nan"),
+        (["oracle", "--source", "coherent:inf,0"], "beta must be finite, got (inf+0j)"),
+        (["oracle", "--source", "coherent:nan,0"], "beta must be finite, got (nan+0j)"),
+        (["oracle", "--source", "qubit:nan,0,0,0"], "c0 must be finite, got (nan+0j)"),
+    ],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no output, and no oracle summary
+
 
 def fixed_point_centers(svg_text):
     pts = []
@@ -288,23 +315,80 @@ class TestFigure:
         assert 'class="mean-sz"' in out.read_text()
 
     @pytest.mark.parametrize(
-        "argv", [["simulate"], ["figure", "--kind", "drift-field"], ["figure", "--kind", "decay"]]
+        "argv",
+        [
+            ["simulate", "--steps", "5"],
+            ["figure", "--kind", "drift-field"],
+            ["figure", "--kind", "decay", "--steps", "5"],
+        ],
     )
     def test_empty_policy_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x"
-        assert main([*argv, "--policy", "", "--steps", "5", "--out", str(out)]) == 2
+        assert main([*argv, "--policy", "", "--out", str(out)]) == 2
         assert "unknown policy ''" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("sampling", ["vacuum", "bogus", ""])
-    def test_decay_rejects_other_sampling(self, tmp_path, capsys, sampling):
+    # a valid, cheap setting of each value a figure kind may read
+    VALID = {
+        "gamma": "1", "tau": "1e-3", "alpha": "100", "policy": "compensate",
+        "sampling": "conditional", "initial": "dipole+", "steps": "5",
+        "trajectories": "5", "seed": "1", "samples": "100", "bins": "10", "grid": "8",
+    }
+    UNREAD = [
+        (kind, key) for kind, reads in cli._FIGURE_KINDS.items()
+        for key in cli._FIGURE_VALUES if key not in reads
+    ]
+
+    def test_kind_table_covers_every_value(self):
+        assert set(self.VALID) == set(cli._FIGURE_VALUES)
+        read = [key for reads in cli._FIGURE_KINDS.values() for key in reads]
+        assert set(read) == set(cli._FIGURE_VALUES)
+        # 3 kinds x 12 values, of which each kind reads 5 to 8
+        assert (len(read), len(self.UNREAD)) == (21, 15)
+
+    @pytest.mark.parametrize("kind,key", UNREAD)
+    def test_unread_flag_exits_2(self, tmp_path, capsys, kind, key):
         out = tmp_path / "x.svg"
-        argv = ["figure", "--kind", "decay", "--steps", "5", "--out", str(out)]
-        assert main([*argv, "--sampling", sampling]) == 2
+        argv = ["figure", "--kind", kind, f"--{key}", self.VALID[key], "--out", str(out)]
+        assert main(argv) == 2
+        takes = ", ".join(f"--{k}" for k in cli._FIGURE_KINDS[kind])
         err = capsys.readouterr().err
-        assert f"figure --kind decay runs conditional records, got --sampling {sampling!r}" in err
+        assert f"figure --kind {kind} does not take --{key} (it takes {takes})" in err
         assert not out.exists()
-        assert main([*argv, "--sampling", "conditional"]) == 0
+
+    @pytest.mark.parametrize("kind,key", UNREAD)
+    def test_unread_config_key_exits_2(self, tmp_path, capsys, kind, key):
+        cfg = tmp_path / "fig.cfg"
+        cfg.write_text(f"kind={kind}\n{key}={self.VALID[key]}\n")
+        out = tmp_path / "x.svg"
+        assert main(["figure", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}:2: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("kind", sorted(cli._FIGURE_KINDS))
+    def test_kind_accepts_every_value_it_reads(self, tmp_path, kind, source):
+        settings = {key: self.VALID[key] for key in cli._FIGURE_KINDS[kind]}
+        if source == "flags":
+            argv = ["--kind", kind, *(a for k, v in settings.items() for a in (f"--{k}", v))]
+        else:
+            cfg = tmp_path / "fig.cfg"
+            cfg.write_text("".join(f"{k}={v}\n" for k, v in {"kind": kind, **settings}.items()))
+            argv = ["--config", str(cfg)]
+        out = tmp_path / "x.svg"
+        assert main(["figure", *argv, "--out", str(out)]) == 0
+        assert out.read_text().rstrip().endswith("</svg>")
+
+    def test_kind_flag_overrides_config_kind(self, tmp_path, capsys):
+        cfg = tmp_path / "fig.cfg"
+        cfg.write_text("kind=record-histogram\nsamples=100\n")
+        out = tmp_path / "x.svg"
+        argv = ["figure", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        assert 'class="bin"' in out.read_text()
+        # drift-field does not read samples, so the file's samples= is unknown to it
+        assert main([*argv, "--kind", "drift-field"]) == 2
+        assert f"{cfg}:2: unknown key 'samples'" in capsys.readouterr().err
 
     def test_record_histogram(self, tmp_path):
         out = tmp_path / "fig.svg"

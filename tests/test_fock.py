@@ -71,6 +71,19 @@ class TestSourceSpec:
             SourceSpec.qubit(1.0, 1.0)
         SourceSpec.qubit(1 / math.sqrt(2), 1j / math.sqrt(2))
 
+    @pytest.mark.parametrize(
+        "make,name",
+        [
+            (lambda: SourceSpec.coherent(complex(math.inf, 0.0)), "beta"),
+            (lambda: SourceSpec.coherent(complex(0.0, math.nan)), "beta"),
+            (lambda: SourceSpec.qubit(math.nan, 0.0), "c0"),
+            (lambda: SourceSpec.qubit(1.0, complex(0.0, math.inf)), "c1"),
+        ],
+    )
+    def test_non_finite_amplitudes_rejected(self, make, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make()
+
     def test_mean_b(self):
         assert SourceSpec.vacuum().mean_b() == 0.0
         assert SourceSpec.coherent(0.3 + 0.1j).mean_b() == 0.3 + 0.1j
@@ -118,6 +131,15 @@ class TestBeamsplitter:
     def test_cutoff_too_small(self):
         with pytest.raises(CutoffError):
             beamsplitter_output(6.0, SourceSpec.vacuum(), cutoff=10)
+
+    def test_negative_cutoff_rejected(self):
+        with pytest.raises(ValueError, match="cutoff must be >= 0, got -3"):
+            beamsplitter_output(2.0, SourceSpec.vacuum(), cutoff=-3)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])
+    def test_lo_alpha_must_be_finite_and_non_negative(self, alpha):
+        with pytest.raises(ValueError, match=f"lo_alpha must be finite and >= 0, got {alpha}"):
+            beamsplitter_output(alpha, SourceSpec.vacuum())
 
 
 QUBIT = SourceSpec.qubit(0.6, 0.8 * cmath.exp(0.3j))
