@@ -6,15 +6,7 @@ gain: none = 0, compensation = 1, inversion = 2), and validates the record
 statistics against an exact truncated-Fock-space homodyne oracle.
 """
 
-from .analysis import (
-    DiffusionEstimate,
-    DriftField,
-    Histogram,
-    drift_field,
-    ensemble_stats,
-    estimate_diffusion,
-    histogram,
-)
+from .analysis import DriftField, drift_field
 from .bloch import (
     BlochState,
     SimParams,
@@ -79,10 +71,5 @@ __all__ = [
     "skellam_pmf",
     "gaussian_distance",
     "DriftField",
-    "DiffusionEstimate",
-    "Histogram",
     "drift_field",
-    "estimate_diffusion",
-    "ensemble_stats",
-    "histogram",
 ]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import drift_field, histogram
+from .analysis import drift_field
 from .bloch import BlochState, SimParams
 from .engine import RunConfig, check_gain, run_ensemble, run_trajectory_arrays
 from .fock import CutoffError, SourceSpec, delta_n_pmf, gaussian_distance, skellam_pmf
@@ -291,15 +291,14 @@ def cmd_figure(args) -> int:
         decay = {**values, "policy": policy, "sampling": "conditional"}
         svg = decay_svg(run_ensemble(_run_config(decay)))
     else:  # record-histogram
-        if values["samples"] < 1:
-            raise FlagError(f"samples must be >= 1, got {values['samples']}")
+        for key in ("samples", "bins"):
+            if values[key] < 1:
+                raise FlagError(f"{key} must be >= 1, got {values[key]}")
         state = parse_initial(values["initial"])
         mode = parse_sampling(values["sampling"])
         rng = CounterStream(values["seed"], 0)
         records = sample_records(state, params, mode, rng, values["samples"])
-        span = 5.0 * params.alpha
-        hist = histogram(records, values["bins"], (-span, span))
-        svg = histogram_svg(hist, params.alpha)
+        svg = histogram_svg(records, values["bins"], params.alpha)
     Path(values["out"]).write_text(svg)
     return 0
 

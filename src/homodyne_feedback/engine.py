@@ -404,4 +404,6 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     total = batch_sums[0]
     for s in batch_sums[1:]:  # fixed reduction order
         total = total + s
+    if not np.isfinite(total).all():
+        raise ValueError(f"non-finite angles: alpha = {config.params.alpha:g} overflows float64")
     return EnsembleResult.from_sums(total, n, config)

@@ -105,7 +105,13 @@ class Pmf:
 
 
 def default_cutoff(alpha: float) -> int:
-    """LO-mode cutoff keeping coherent-tail leakage well below 1e-10."""
+    """LO-mode cutoff keeping coherent-tail leakage well below 1e-10.
+
+    Raises CutoffError when the vacuum amplitude exp(-alpha^2/2) underflows
+    to 0 (alpha above ~38.6), since no cutoff then holds the state's norm.
+    """
+    if math.exp(-0.5 * alpha * alpha) == 0.0:
+        raise CutoffError(f"alpha = {alpha:g} is too large: exp(-alpha^2/2) underflows to 0")
     return max(20, int(math.ceil(alpha * alpha + 10.0 * alpha + 20.0)))
 
 

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import DriftField, Histogram
+from .analysis import DriftField
 from .engine import EnsembleResult
 from .measurement import pdf_vacuum
 
@@ -131,15 +131,15 @@ def decay_svg(result: EnsembleResult) -> str:
     return _svg(width, height, body)
 
 
-def histogram_svg(hist: Histogram, alpha: float) -> str:
-    """Record histogram with the weak-field Gaussian overlaid."""
+def histogram_svg(records: np.ndarray, bins: int, alpha: float) -> str:
+    """Histogram of `records` in `bins` equal bins on [-5 alpha, 5 alpha]
+    with the weak-field Gaussian overlaid.  Densities are normalised by the
+    count of all records, so records outside the range lower every bin."""
     width, height = 640, 420
     x0, y0, x1, y1 = 60.0, 30.0, 610.0, 380.0
-    edges = hist.edges
-    counts = hist.counts
-    total = hist.total()
+    counts, edges = np.histogram(records, bins, range=(-5.0 * alpha, 5.0 * alpha))
     widths = np.diff(edges)
-    density = counts / (total * widths) if total else counts.astype(float)
+    density = counts / (len(records) * widths)
     ref = pdf_vacuum(0.5 * (edges[:-1] + edges[1:]), alpha)
     ymax = max(float(density.max(initial=0.0)), float(ref.max())) or 1.0
     span = edges[-1] - edges[0]

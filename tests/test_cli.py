@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import homodyne_feedback
 from homodyne_feedback import cli, validation
 from homodyne_feedback.cli import CSV_HEADER, TRAJ_HEADER, main
+from homodyne_feedback.svgfig import histogram_svg
 
 
 def read_csv(path):
@@ -155,6 +157,28 @@ class TestSimulate:
         assert f"SIM_THREADS must be a positive integer, got {value!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "alpha,code",
+        [
+            # alpha * z overflows float64 in the kernel, so the angles go non-finite
+            pytest.param("1e308", 2, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+            ("1e307", 0),
+        ],
+    )
+    def test_overflowing_alpha_exits_2_before_writing(self, tmp_path, capsys, alpha, code):
+        out, dump = tmp_path / "ens.csv", tmp_path / "traj.csv"
+        assert main(
+            [
+                "simulate", "--alpha", alpha, "--steps", "5", "--trajectories", "4",
+                "--out", str(out), "--dump-trajectories", str(dump),
+            ]
+        ) == code
+        if code:
+            assert f"non-finite angles: alpha = {float(alpha):g}" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert "nan" not in out.read_text()
+
     def test_unwritable_out_exits_3(self, tmp_path):
         assert main(
             ["simulate", "--steps", "5", "--out", str(tmp_path / "no_dir" / "x.csv")]
@@ -231,13 +255,19 @@ class TestOracle:
         assert summary["mean"] == pytest.approx(4.0, abs=1e-8)
         assert "skellam_max_abs_err" not in summary
 
-    def test_cutoff_too_small_exits_4(self, tmp_path):
-        assert main(
-            [
-                "oracle", "--alpha", "6", "--source", "vacuum",
-                "--cutoff", "8", "--out", str(tmp_path / "pmf.csv"),
-            ]
-        ) == 4
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--alpha", "6", "--source", "vacuum", "--cutoff", "8"],
+            # exp(-alpha^2/2) underflows to 0: exit 4 before any array is sized
+            ["--alpha", "40"],
+            ["--alpha", "1e200"],
+            ["--source", "coherent:1e200,0"],
+        ],
+    )
+    def test_cutoff_too_small_exits_4(self, tmp_path, flags):
+        assert main(["oracle", *flags, "--out", str(tmp_path / "pmf.csv")]) == 4
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_cutoff_exits_2(self, tmp_path, capsys):
         assert main(["oracle", "--cutoff", "-3", "--out", str(tmp_path / "pmf.csv")]) == 2
@@ -418,13 +448,15 @@ class TestFigure:
             ["figure", "--kind", "mystery", "--out", str(tmp_path / "x.svg")]
         ) == 2
 
-    @pytest.mark.parametrize("samples", ["-5", "0"])
-    def test_samples_below_one_exits_2(self, tmp_path, capsys, samples):
+    @pytest.mark.parametrize(
+        "key,value", [("samples", "-5"), ("samples", "0"), ("bins", "0"), ("bins", "-3")]
+    )
+    def test_samples_below_one_exits_2(self, tmp_path, capsys, key, value):
         out = tmp_path / "x.svg"
         assert main(
-            ["figure", "--kind", "record-histogram", "--samples", samples, "--out", str(out)]
+            ["figure", "--kind", "record-histogram", f"--{key}", value, "--out", str(out)]
         ) == 2
-        assert f"samples must be >= 1, got {samples}" in capsys.readouterr().err
+        assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -483,6 +515,17 @@ class TestOutputsPinned:
         argv = [a.replace("{cfg}", str(cfg)) for a in argv]
         assert main([*argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_record_histogram_outliers_pinned(self):
+        # records below -5 alpha, above +5 alpha and at both edges: every
+        # record counts in the density's normaliser, and +5 alpha falls in
+        # the last bin
+        records = np.array(
+            [-31.0, -10.5, -10.0, -4.2, -0.3, 0.0, 0.7, 3.9, 9.99, 10.0, 10.0, 10.25, 57.0]
+        )
+        svg = histogram_svg(records, 8, 2.0)
+        digest = "82d50e4ee0d37cad391bb77bf8be991135ca4b0eb57bc1bc4e0deb2547927175"
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command", ["simulate", "oracle"])

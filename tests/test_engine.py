@@ -8,6 +8,7 @@ import pytest
 from homodyne_feedback import (
     BlochState,
     CounterStream,
+    EnsembleResult,
     RunConfig,
     SamplingMode,
     SimParams,
@@ -225,6 +226,39 @@ class TestRunEnsemble:
         assert np.all(np.abs(res.mean_sz) <= 1.0)
         assert res.time[0] == 0.0
         assert res.time[-1] == pytest.approx(res.config.n_steps * PARAMS.tau)
+
+    def test_single_trajectory_zero_variance(self):
+        res = run_ensemble(make_config(n_steps=20, n_trajectories=1, seed=60))
+        for name in ("var_sx", "var_sz", "stderr_sx", "stderr_sz"):
+            assert np.all(getattr(res, name) == 0.0), name
+
+    def test_identical_trajectories_zero_stderr(self):
+        config = make_config(n_steps=20, n_trajectories=1, seed=61)
+        row = history_sums(config.initial.phi, run_trajectory_arrays(config, 0)[2])
+        res = EnsembleResult.from_sums(row + row + row, 3, config)
+        # the sum-of-squares variance formula leaves rounding noise of order
+        # eps in the variance and so of order sqrt(eps) in the standard error
+        noise = 4.0 * np.finfo(float).eps
+        for var, stderr in ((res.var_sx, res.stderr_sx), (res.var_sz, res.stderr_sz)):
+            assert np.all(var <= noise)
+            assert np.all(stderr <= math.sqrt(noise / 2))
+
+    def test_matches_moments_of_stepper_rows(self):
+        # one batch: the kernel sums each step's 40 lanes as one contiguous
+        # row, so summing the stepper's angles the same way gives every
+        # moment bit for bit
+        config = make_config(n_steps=30, n_trajectories=40, seed=63)
+        phi = np.array([run_trajectory_arrays(config, i)[2] for i in range(40)])
+        # C-ordered rows; a transposed (F-ordered) view would sum in another order
+        angles = np.empty((31, 40))
+        angles[0] = config.initial.phi
+        angles[1:] = phi.T
+        sx, sz = np.sin(angles), np.cos(angles)
+        sums = np.stack([sx.sum(1), (sx * sx).sum(1), sz.sum(1), (sz * sz).sum(1)], axis=1)
+        rebuilt = EnsembleResult.from_sums(sums, 40, config)
+        direct = run_ensemble(config)
+        for name in ("time", *MOMENTS):
+            assert np.array_equal(getattr(direct, name), getattr(rebuilt, name)), name
 
     def test_monotone_relaxation_towards_ground(self):
         config = make_config(n_steps=500, n_trajectories=2000, seed=33)
