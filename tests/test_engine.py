@@ -260,6 +260,14 @@ class TestRunEnsemble:
         for name in ("time", *MOMENTS):
             assert np.array_equal(getattr(direct, name), getattr(rebuilt, name)), name
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_angles_raise(self):
+        # alpha * z overflows float64 in the kernel once |z| > 1.8, which
+        # some of the 800 normal draws exceed, so the sums go non-finite
+        params = SimParams(gamma=1.0, tau=1e-3, alpha=1e308)
+        with pytest.raises(ValueError, match="non-finite angles: alpha = 1e\\+308"):
+            run_ensemble(make_config(params=params, n_steps=20, n_trajectories=40))
+
     def test_monotone_relaxation_towards_ground(self):
         config = make_config(n_steps=500, n_trajectories=2000, seed=33)
         res = run_ensemble(config)

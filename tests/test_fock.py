@@ -259,3 +259,17 @@ class TestGaussianDistance:
 
     def test_cutoff_recommendation(self):
         assert default_cutoff(6.0) >= 36 + 60 + 20
+
+    def test_cutoff_at_largest_supported_alpha(self):
+        assert default_cutoff(30.0) == 900 + 300 + 20
+
+    # exp(-alpha^2/2) underflows to 0 above alpha ~ 38.6; 1e5 would have
+    # sized a ~1e10-row amplitude array
+    @pytest.mark.parametrize("alpha", [40.0, 1e5, 1e200])
+    def test_cutoff_refused_when_vacuum_amplitude_underflows(self, alpha):
+        with pytest.raises(CutoffError, match="underflows to 0"):
+            default_cutoff(alpha)
+
+    def test_huge_coherent_source_refused(self):
+        with pytest.raises(CutoffError, match="underflows to 0"):
+            delta_n_pmf(2.0, SourceSpec.coherent(1e200))
