@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import SimParams
+from .measurement import record_shift
 
 _FIXED_POINT_TOL = 1e-12
 
@@ -47,7 +48,7 @@ def drift_field(params: SimParams, g: float, grid_size: int = 72) -> DriftField:
     s_x = np.sin(phi)
     s_z = np.cos(phi)
     gt = params.gamma_tau
-    mu = math.sqrt(gt) * params.alpha
+    mu = record_shift(params)
     sigma = params.alpha
 
     p_plus = 0.5 * (1.0 + s_x)

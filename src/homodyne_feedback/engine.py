@@ -6,9 +6,11 @@ any worker count.  Ensembles run through the batched kernel `_advance`.
 
 An ensemble is cut into fixed batches of BATCH_SIZE trajectories, and each
 worker advances a slab, a run of up to SLAB_BATCHES consecutive batches, as
-one wide lane array.  Every per-step operation and every chunk's random
-draws write into a workspace the kernel allocates once per slab, so the
-kernel allocates no lane array per step or per chunk.  The kernel keeps one
+one wide lane array.  Every per-step operation writes into a workspace the
+kernel allocates once per slab.  The random draws come from one generator,
+`_draws`, which sizes the chunks, lays out the counters and fills buffers
+it allocates once per slab, so the kernel allocates no lane array per step
+or per chunk.  The kernel keeps one
 set of per-step sums per batch: the row sums of a (batches, BATCH_SIZE) view
 of each lane array, with a ragged last batch summed as its own slice.  Each
 is the same pairwise sum over the same lanes as that batch's own 1-D
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import BlochState, SimParams, normalize_angle
-from .measurement import SamplingMode
+from .measurement import SamplingMode, record_shift
 from .streams import box_muller, raw_words, stream_key, to_unit
 
 _PI = math.pi
@@ -43,14 +45,14 @@ _TWO_PI = 2.0 * math.pi
 # reduction) do not depend on the worker count.
 BATCH_SIZE = 4096
 
-# Upper bound on random words precomputed at once per word array.  That is
-# a chunk of 8 steps at BATCH_SIZE lanes and of 2 steps in a 4-batch slab:
-# each of the kernel's draw buffers (two word arrays, three float arrays,
-# two in vacuum mode) is 256 KiB, allocated once per slab and refilled every
-# chunk, so they fit a 2 MiB L2 cache and a worker's memory does not grow
-# with n_steps.  Much larger chunks stream tens of MB through memory and run
-# slower.
-# Chunking never changes a value: word k of a stream depends only on (key, k).
+# Upper bound on random words `_draws` precomputes at once per word array.
+# That is a chunk of 8 steps at BATCH_SIZE lanes and of 2 steps in a 4-batch
+# slab: each of its buffers (two word planes, three float planes, two in
+# vacuum mode) is 256 KiB, allocated once per call and refilled every chunk,
+# so they fit a 2 MiB L2 cache and a worker's memory does not grow with
+# n_steps.  Much larger chunks stream tens of MB through memory and run
+# slower.  Read at call time; chunking never changes a value, since word k
+# of a stream depends only on (key, k).
 _WORD_BUDGET = 1 << 15
 
 # Most batches a worker advances together as one lane array (a slab).  A
@@ -178,55 +180,36 @@ def _angle_scale(params: SimParams, g: float) -> float:
     return math.sqrt(params.gamma * params.tau) * max(abs(2.0 - g), abs(g))
 
 
-def _chunk_steps(n_steps: int, lanes: int) -> int:
-    """Steps per chunk: at most _WORD_BUDGET draws per word array."""
-    return max(1, min(n_steps, _WORD_BUDGET // max(1, lanes)))
-
-
-def _chunks(n_steps: int, lanes: int):
-    """(k0, k1) step ranges of _chunk_steps steps each, the last ragged."""
-    chunk = _chunk_steps(n_steps, lanes)
-    for k0 in range(0, n_steps, chunk):
-        yield k0, min(n_steps, k0 + chunk)
-
-
-def _draw_buffers(steps: int, lanes: int, conditional: bool):
-    """Draw workspace for up to `steps` steps, each plane (steps, lanes):
-    uint64 words and their mixing scratch; float64 Box-Muller uniforms (the
-    first plane ends up holding the normals) and, in conditional mode, the
-    record uniforms."""
-    words = np.empty((2, steps, lanes), dtype=np.uint64)
-    floats = np.empty((3 if conditional else 2, steps, lanes))
-    return words, floats
-
-
-def _draws(keys, k0, k1, conditional, buffers):
-    """Uniforms (None in vacuum mode) and normals of steps k0..k1-1, shape
+def _draws(keys, n_steps, conditional):
+    """Yield (k0, k1, u, z) over steps 0..n_steps-1 in chunks of at most
+    _WORD_BUDGET draws per word array, the last ragged: the record uniforms
+    u (None in vacuum mode) and the normals z of steps k0..k1-1, shape
     (k1 - k0, lanes).  A conditional step takes counters 3k (uniform) and
-    3k+1, 3k+2 (Box-Muller); a vacuum step takes 2k, 2k+1.  Word k of a
-    stream depends only on (key, k), so chunking never changes a value.
+    3k+1, 3k+2 (Box-Muller); a vacuum step takes 2k, 2k+1.
 
-    The draws are written into `buffers` (from `_draw_buffers`, for at
-    least k1 - k0 steps and len(keys) lanes); the returned arrays are views
-    of them, valid until the next call.
+    Every chunk is written in place into buffers allocated once per call:
+    uint64 words and their mixing scratch, and float64 Box-Muller uniforms
+    (the first plane ends up holding the normals) and, in conditional mode,
+    record uniforms.  u and z are views of them, valid until the next chunk.
     """
-    m = k1 - k0
-    (words, scratch), floats = buffers
-    words, scratch, floats = words[:m], scratch[:m], floats[:, :m]
-    base = (
-        np.arange(k0, k1, dtype=np.uint64) * np.uint64(3 if conditional else 2)
-    )[:, None]
-
-    def unit(offset, out):
-        w = raw_words(keys, base + np.uint64(offset), out=words, scratch=scratch)
-        return to_unit(w, out=out, scratch=w)
-
-    u = unit(0, floats[2]) if conditional else None
+    lanes = len(keys)
+    chunk = max(1, min(n_steps, _WORD_BUDGET // lanes))
+    words, scratch = np.empty((2, chunk, lanes), dtype=np.uint64)
+    floats = np.empty((3 if conditional else 2, chunk, lanes))
+    per_step = np.uint64(3 if conditional else 2)
     pair = 1 if conditional else 0  # counter offset of the Box-Muller pair
-    z = box_muller(
-        unit(pair, floats[0]), unit(pair + 1, floats[1]), out=floats[0], scratch=floats[1]
-    )
-    return u, z
+    for k0 in range(0, n_steps, chunk):
+        k1 = min(n_steps, k0 + chunk)
+        w, s, f = words[: k1 - k0], scratch[: k1 - k0], floats[:, : k1 - k0]
+        base = (np.arange(k0, k1, dtype=np.uint64) * per_step)[:, None]
+
+        def unit(offset, out):
+            raw_words(keys, base + np.uint64(offset), out=w, scratch=s)
+            return to_unit(w, out=out, scratch=w)
+
+        u = unit(0, f[2]) if conditional else None
+        z = box_muller(unit(pair, f[0]), unit(pair + 1, f[1]), out=f[0], scratch=f[1])
+        yield k0, k1, u, z
 
 
 def _batch_rows(x, out):
@@ -248,15 +231,14 @@ def _advance(phi, keys, params, g, conditional, n_steps):
     phi: (n,) float64 angles; keys: (n,) uint64 stream keys.  Lanes
     b*BATCH_SIZE .. (b+1)*BATCH_SIZE - 1 are batch b; the last may be
     ragged.  Every per-step operation writes with `out=` into a workspace
-    allocated once per call, and each chunk's draws are written into draw
-    buffers allocated beside it, so neither a step nor a chunk allocates a
-    lane array.
+    allocated once per call, and `_draws` fills buffers of its own, so
+    neither a step nor a chunk allocates a lane array.
     """
     phi = np.array(phi, dtype=np.float64, copy=True)
     keys = np.asarray(keys, dtype=np.uint64)
     alpha = params.alpha
     sqrt_gt = math.sqrt(params.gamma * params.tau)
-    mu = sqrt_gt * alpha
+    mu = record_shift(params)
     scale = _angle_scale(params, g)
 
     n = phi.shape[0]
@@ -274,11 +256,8 @@ def _advance(phi, keys, params, g, conditional, n_steps):
         _batch_rows(sz, sums[:, k, 2])
         _batch_rows(np.multiply(sz, sz, out=tmp), sums[:, k, 3])
 
-    draw_buffers = _draw_buffers(_chunk_steps(n_steps, n), n, conditional)
-
     record(0)
-    for k0, k1 in _chunks(n_steps, n):
-        u, z = _draws(keys, k0, k1, conditional, draw_buffers)
+    for k0, k1, u, z in _draws(keys, n_steps, conditional):
         # |delta_n / alpha| <= sqrt_gt + |z|.  One turn of wrapping keeps
         # phi in (-pi, pi] while |theta| <= 2 pi; only chunks whose draws
         # could rotate by more than pi check every lane.  max |z| is taken
@@ -332,7 +311,7 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
     params = config.params
     alpha = params.alpha
     sqrt_gt = math.sqrt(params.gamma * params.tau)
-    mu = sqrt_gt * alpha
+    mu = record_shift(params)
     g = config.gain
     conditional = config.mode is SamplingMode.CONDITIONAL
     keys = stream_key(config.seed, np.asarray([trajectory_index], dtype=np.uint64))
@@ -341,9 +320,7 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
     out = np.empty((3, config.n_steps))  # delta_n, theta, phi
     phi = config.initial.phi
     sx, sz = sin(phi), cos(phi)
-    draw_buffers = _draw_buffers(_chunk_steps(config.n_steps, 1), 1, conditional)
-    for k0, k1 in _chunks(config.n_steps, 1):
-        u, z = _draws(keys, k0, k1, conditional, draw_buffers)
+    for k0, k1, u, z in _draws(keys, config.n_steps, conditional):
         us = u[:, 0].tolist() if conditional else None
         rows = []  # flat (delta_n, theta, phi) triples: cheap to append and convert
         for i, zi in enumerate(z[:, 0].tolist()):
@@ -379,7 +356,10 @@ def _slab_sums(config: RunConfig, batches) -> np.ndarray:
     )
     phi0 = np.full(len(keys), config.initial.phi)
     conditional = config.mode is SamplingMode.CONDITIONAL
-    _, sums = _advance(phi0, keys, config.params, config.gain, conditional, config.n_steps)
+    # an overflowing alpha * z turns the sums non-finite, which run_ensemble
+    # refuses; numpy's error state is per thread, so it is set here
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, sums = _advance(phi0, keys, config.params, config.gain, conditional, config.n_steps)
     return sums
 
 

@@ -66,14 +66,6 @@ class SourceSpec:
     def qubit(cls, c0: complex, c1: complex) -> "SourceSpec":
         return cls("qubit", c0=complex(c0), c1=complex(c1))
 
-    def mean_b(self) -> complex:
-        """Expectation value of the source annihilation operator."""
-        if self.kind == "vacuum":
-            return 0.0
-        if self.kind == "coherent":
-            return self.beta
-        return self.c0.conjugate() * self.c1
-
 
 @dataclass(frozen=True)
 class FockField:
@@ -170,10 +162,11 @@ def beamsplitter_output(lo_alpha: float, source: SourceSpec, cutoff: int | None 
 
     if not (0.0 <= lo_alpha < math.inf):
         raise ValueError(f"lo_alpha must be finite and >= 0, got {lo_alpha}")
-    if cutoff is None:
-        cutoff = default_cutoff(lo_alpha)
-    if cutoff < 0:
+    if cutoff is not None and cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    # default_cutoff also refuses an alpha whose vacuum amplitude underflows
+    lo_cutoff = default_cutoff(lo_alpha)
+    cutoff = lo_cutoff if cutoff is None else cutoff
     a = coherent_amplitudes(lo_alpha, cutoff)
     leak = 1.0 - float(np.sum(np.abs(a) ** 2))
     if leak > 1e-10:

@@ -55,15 +55,6 @@ def conditional_pdf(delta_n, state: BlochState, params: SimParams):
     return p_plus * _gauss(x, mu, params.alpha) + p_minus * _gauss(x, -mu, params.alpha)
 
 
-def conditional_mean(state: BlochState, params: SimParams) -> float:
-    return record_shift(params) * state.s_x
-
-
-def conditional_variance(state: BlochState, params: SimParams) -> float:
-    sx = state.s_x
-    return params.alpha**2 * (1.0 + params.gamma_tau * (1.0 - sx * sx))
-
-
 def sample_records(
     state: BlochState,
     params: SimParams,

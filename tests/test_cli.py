@@ -161,7 +161,7 @@ class TestSimulate:
         "alpha,code",
         [
             # alpha * z overflows float64 in the kernel, so the angles go non-finite
-            pytest.param("1e308", 2, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+            ("1e308", 2),
             ("1e307", 0),
         ],
     )
@@ -174,7 +174,9 @@ class TestSimulate:
             ]
         ) == code
         if code:
-            assert f"non-finite angles: alpha = {float(alpha):g}" in capsys.readouterr().err
+            # the kernel's float errors are not warned about: one error line
+            message = f"error: non-finite angles: alpha = {float(alpha):g} overflows float64"
+            assert capsys.readouterr().err.splitlines() == [message]
             assert list(tmp_path.iterdir()) == []
         else:
             assert "nan" not in out.read_text()
@@ -263,6 +265,7 @@ class TestOracle:
             ["--alpha", "40"],
             ["--alpha", "1e200"],
             ["--source", "coherent:1e200,0"],
+            ["--alpha", "1e200", "--cutoff", "5"],
         ],
     )
     def test_cutoff_too_small_exits_4(self, tmp_path, flags):
@@ -270,9 +273,13 @@ class TestOracle:
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_cutoff_exits_2(self, tmp_path, capsys):
-        assert main(["oracle", "--cutoff", "-3", "--out", str(tmp_path / "pmf.csv")]) == 2
-        assert "cutoff must be >= 0, got -3" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        # at the default alpha, and at one the oracle cannot hold: the bad
+        # flag is reported first
+        for flags in ([], ["--alpha", "1e200"]):
+            argv = ["oracle", *flags, "--cutoff", "-3", "--out", str(tmp_path / "pmf.csv")]
+            assert main(argv) == 2, flags
+            assert "cutoff must be >= 0, got -3" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from homodyne_feedback import (
     run_trajectory_arrays,
 )
 from homodyne_feedback import engine
-from homodyne_feedback.streams import stream_key
+from homodyne_feedback.streams import box_muller, raw_words, stream_key, to_unit
 
 PARAMS = SimParams(gamma=1.0, tau=1e-3, alpha=100.0)
 
@@ -427,25 +427,41 @@ class TestChunking:
 
 class TestBufferedDraws:
     @pytest.mark.parametrize("conditional", [True, False])
-    def test_buffers_match_allocating_path_and_scalar_streams(self, conditional):
-        # lanes not a multiple of BATCH_SIZE; the buffers hold 5 steps, and
-        # after a full chunk the next call draws a ragged 3 into them
-        n, seed, k0, k1 = engine.BATCH_SIZE + 37, 4, 10, 13
+    def test_buffers_match_allocating_path_and_scalar_streams(self, monkeypatch, conditional):
+        # lanes not a multiple of BATCH_SIZE; a 5-step chunk, then a ragged
+        # 3-step chunk drawn into the same buffers
+        n, seed, steps = engine.BATCH_SIZE + 37, 4, 8
+        monkeypatch.setattr(engine, "_WORD_BUDGET", 5 * n)
         keys = stream_key(seed, np.arange(n, dtype=np.uint64))
-        buffers = engine._draw_buffers(5, n, conditional)
-        engine._draws(keys, 0, 5, conditional, buffers)
-        u, z = engine._draws(keys, k0, k1, conditional, buffers)
-        fresh = engine._draw_buffers(k1 - k0, n, conditional)
-        fresh_u, fresh_z = engine._draws(keys, k0, k1, conditional, fresh)
-        assert z.shape == (k1 - k0, n) and np.shares_memory(z, buffers[1])
-        assert np.array_equal(z, fresh_z)
-        if conditional:
-            assert u.shape == (k1 - k0, n) and np.shares_memory(u, buffers[1])
-            assert np.array_equal(u, fresh_u)
-        else:
-            assert u is None and fresh_u is None
-        # each lane is its trajectory's stream consumed one value at a time
+        chunks = []
+        for k0, k1, u, z in engine._draws(keys, steps, conditional):
+            chunks.append((k0, k1))
+            assert z.shape == (k1 - k0, n)
+            if k0 == 0:
+                first_z = z
+            assert np.shares_memory(z, first_z)  # one allocation per call
+            self._check_chunk(keys, seed, k0, k1, u, z, conditional)
+        assert chunks == [(0, 5), (5, 8)]
+        assert list(engine._draws(keys, 0, conditional)) == []
+
+    @staticmethod
+    def _check_chunk(keys, seed, k0, k1, u, z, conditional):
+        """The chunk against the allocating raw_words/to_unit/box_muller
+        path and against each sampled lane's stream consumed one value at a
+        time."""
         per_step = 3 if conditional else 2
+        base = (np.arange(k0, k1, dtype=np.uint64) * np.uint64(per_step))[:, None]
+
+        def unit(offset):
+            return to_unit(raw_words(keys, base + np.uint64(offset)))
+
+        pair = 1 if conditional else 0
+        assert np.array_equal(z, box_muller(unit(pair), unit(pair + 1)))
+        if conditional:
+            assert u.shape == z.shape and np.array_equal(u, unit(0))
+        else:
+            assert u is None
+        n = len(keys)
         for j in (0, engine.BATCH_SIZE - 1, engine.BATCH_SIZE, n - 1):
             stream = CounterStream(seed, j)
             stream.uniform(k0 * per_step)  # the counters of steps 0..k0-1

@@ -84,12 +84,6 @@ class TestSourceSpec:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make()
 
-    def test_mean_b(self):
-        assert SourceSpec.vacuum().mean_b() == 0.0
-        assert SourceSpec.coherent(0.3 + 0.1j).mean_b() == 0.3 + 0.1j
-        q = SourceSpec.qubit(1 / math.sqrt(2), 1 / math.sqrt(2))
-        assert q.mean_b() == pytest.approx(0.5)
-
 
 class TestBeamsplitter:
     def test_all_vacuum(self):
@@ -131,6 +125,12 @@ class TestBeamsplitter:
     def test_cutoff_too_small(self):
         with pytest.raises(CutoffError):
             beamsplitter_output(6.0, SourceSpec.vacuum(), cutoff=10)
+
+    def test_underflowing_alpha_refused_with_explicit_cutoff(self):
+        # an explicit cutoff skipped the underflow check, and the LO
+        # amplitudes then raised OverflowError on abs(alpha) ** 2
+        with pytest.raises(CutoffError, match=r"alpha = 1e\+200 is too large"):
+            beamsplitter_output(1e200, SourceSpec.vacuum(), cutoff=5)
 
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError, match="cutoff must be >= 0, got -3"):

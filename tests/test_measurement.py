@@ -21,9 +21,21 @@ from homodyne_feedback import (
     run_trajectory_arrays,
     sample_records,
 )
-from homodyne_feedback.measurement import conditional_mean, conditional_variance
+from homodyne_feedback.measurement import record_shift
 
 PARAMS = SimParams(gamma=1.0, tau=1e-2, alpha=10.0)
+
+
+def conditional_mean(state, params):
+    """Mean of the conditional record mixture: sqrt(gamma*tau)*alpha*s_x."""
+    return record_shift(params) * state.s_x
+
+
+def conditional_variance(state, params):
+    """Variance of the conditional record mixture:
+    alpha^2 * (1 + gamma*tau*(1 - s_x^2))."""
+    sx = state.s_x
+    return params.alpha**2 * (1.0 + params.gamma_tau * (1.0 - sx * sx))
 
 
 class TestVacuumPdf:
