@@ -2,8 +2,8 @@
 
 The drift field reproduces the feedback-scenario circle diagrams: at each
 angle on the s_y = 0 circle it reports the mean back-action rotation
-conditioned on a positive record, the rms rotation, and whether the point is
-a fixed point of the gained back-action.
+conditioned on a positive record, and whether the point is a fixed point of
+the gained back-action.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ _FIXED_POINT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DriftField:
-    """Per-grid-point conditional drift and rms diffusion on the circle."""
+    """Per-grid-point conditional drift and fixed points on the circle."""
 
     phi: np.ndarray
     mean_rotation_given_positive: np.ndarray
-    rms_rotation: np.ndarray
     fixed_point: np.ndarray
 
 
@@ -33,7 +32,7 @@ def _gauss_density(x):
 
 
 def drift_field(params: SimParams, g: float, grid_size: int = 72) -> DriftField:
-    """Conditional-mean and rms rotations over a uniform angle grid.
+    """Conditional-mean rotations over a uniform angle grid.
 
     The mean rotation given delta_n > 0 uses the analytic truncated mean of
     the conditional record mixture; fixed points are the exact zeros of
@@ -63,12 +62,6 @@ def drift_field(params: SimParams, g: float, grid_size: int = 72) -> DriftField:
 
     amp = 1.0 + s_z - g
     mean_rot = math.sqrt(gt) * amp * mean_dn_given_pos / params.alpha
-    rms = np.sqrt(gt * amp * amp * (1.0 + gt * (1.0 - s_x * s_x)))
     fixed = np.abs(amp) < _FIXED_POINT_TOL
     mean_rot = np.where(fixed, 0.0, mean_rot)
-    return DriftField(
-        phi=phi,
-        mean_rotation_given_positive=mean_rot,
-        rms_rotation=rms,
-        fixed_point=fixed,
-    )
+    return DriftField(phi=phi, mean_rotation_given_positive=mean_rot, fixed_point=fixed)

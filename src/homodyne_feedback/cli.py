@@ -1,7 +1,9 @@
 """Command-line front end: simulate, oracle, figure, validate.
 
-Exit codes: 0 success, 1 validation failure, 2 invalid flags or config,
-3 I/O failure, 4 Fock cutoff too small.
+Exit codes: 0 success, 1 validation failure, 2 invalid flags or config
+or an output too large for memory, 3 I/O failure, 4 Fock amplitudes
+underflow or lose norm (the oracle sizes its truncation from --alpha and
+--source).
 """
 
 from __future__ import annotations
@@ -214,7 +216,6 @@ def cmd_simulate(args) -> int:
 _ORACLE_SPEC = {
     "alpha": (float, 2.0),
     "source": (str, "vacuum"),
-    "cutoff": (int, None),
     "out": (str, None),
 }
 
@@ -222,7 +223,7 @@ _ORACLE_SPEC = {
 def cmd_oracle(args) -> int:
     values = effective(args, _ORACLE_SPEC)
     source = parse_source(values["source"])
-    pmf = delta_n_pmf(values["alpha"], source, values["cutoff"])
+    pmf = delta_n_pmf(values["alpha"], source)
 
     probs = pmf.probabilities
     nz = np.nonzero(probs)[0]
@@ -350,7 +351,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,11 @@ na = m + r - nb), so adding a block at a time while (nb, ell) stays the
 outer loop sums every cell in the same order as a scalar loop over nb, ell,
 na, j, and the amplitudes are bit-for-bit reproducible.
 
+The truncation is not an option: the LO and a coherent source are both
+built by `_coherent`, which expands |gamma> to default_cutoff(|gamma|)
+photons and refuses an amplitude whose vacuum term underflows or whose
+expansion leaks more than 1e-10 of the norm (CutoffError).
+
 scipy.special is imported inside the functions that use it, so importing
 this module stays cheap.
 """
@@ -116,18 +121,23 @@ def coherent_amplitudes(gamma: complex, n_max: int) -> np.ndarray:
     return amps
 
 
+def _coherent(gamma: complex) -> np.ndarray:
+    """Fock amplitudes of |gamma> up to default_cutoff(|gamma|); raises
+    CutoffError when they leak more than 1e-10 of the norm."""
+    n_max = default_cutoff(abs(gamma))
+    amps = coherent_amplitudes(gamma, n_max)
+    leak = 1.0 - float(np.sum(np.abs(amps) ** 2))
+    if leak > 1e-10:
+        raise CutoffError(f"cutoff {n_max} leaves leakage {leak:g} at |gamma| = {abs(gamma):g}")
+    return amps
+
+
 def _source_amplitudes(source: SourceSpec) -> np.ndarray:
     if source.kind == "vacuum":
         return np.array([1.0 + 0.0j])
     if source.kind == "qubit":
         return np.array([source.c0, source.c1], dtype=complex)
-    b = abs(source.beta)
-    n_max = default_cutoff(b)
-    amps = coherent_amplitudes(source.beta, n_max)
-    leak = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    if leak > 1e-10:
-        raise CutoffError(f"source cutoff {n_max} leaves leakage {leak:g}")
-    return amps
+    return _coherent(source.beta)
 
 
 def _row_blocks(rows: np.ndarray):
@@ -151,30 +161,22 @@ def _pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return na, j
 
 
-def beamsplitter_output(lo_alpha: float, source: SourceSpec, cutoff: int | None = None) -> FockField:
+def beamsplitter_output(lo_alpha: float, source: SourceSpec) -> FockField:
     """Joint output amplitudes of |alpha> (x) |source> under the 50:50
     transform c = (a + b)/sqrt(2), d = (a - b)/sqrt(2).
 
-    Brute-force Fock-basis expansion; raises CutoffError when the truncation
-    leaks more than 1e-10 of the norm.
+    Brute-force Fock-basis expansion; raises CutoffError as `_coherent`
+    does, or when the output norm is off 1 by more than 1e-9.
     """
     from scipy.special import gammaln
 
     if not (0.0 <= lo_alpha < math.inf):
         raise ValueError(f"lo_alpha must be finite and >= 0, got {lo_alpha}")
-    if cutoff is not None and cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    # default_cutoff also refuses an alpha whose vacuum amplitude underflows
-    lo_cutoff = default_cutoff(lo_alpha)
-    cutoff = lo_cutoff if cutoff is None else cutoff
-    a = coherent_amplitudes(lo_alpha, cutoff)
-    leak = 1.0 - float(np.sum(np.abs(a) ** 2))
-    if leak > 1e-10:
-        raise CutoffError(f"LO cutoff {cutoff} leaves leakage {leak:g} at alpha={lo_alpha}")
+    a = _coherent(lo_alpha)
     b = _source_amplitudes(source)
 
     nb_max = len(b) - 1
-    dim = cutoff + nb_max + 1
+    dim = len(a) + nb_max
     out = np.zeros((dim, dim), dtype=complex)
 
     lf = gammaln(np.arange(dim + 1) + 1.0)  # log(n!)
@@ -209,15 +211,13 @@ def beamsplitter_output(lo_alpha: float, source: SourceSpec, cutoff: int | None 
 
     field = FockField(out)
     if abs(field.norm() - 1.0) > 1e-9:
-        raise CutoffError(
-            f"output norm {field.norm():.12g} deviates from 1; increase cutoff"
-        )
+        raise CutoffError(f"output norm {field.norm():.12g} deviates from 1")
     return field
 
 
-def delta_n_pmf(lo_alpha: float, source: SourceSpec, cutoff: int | None = None) -> Pmf:
+def delta_n_pmf(lo_alpha: float, source: SourceSpec) -> Pmf:
     """Exact distribution of delta_n = n_detector1 - n_detector2."""
-    field = beamsplitter_output(lo_alpha, source, cutoff)
+    field = beamsplitter_output(lo_alpha, source)
     p2 = np.abs(field.amplitudes) ** 2
     dim = p2.shape[0]
     probs = np.empty(2 * dim - 1)

@@ -137,6 +137,8 @@ def histogram_svg(records: np.ndarray, bins: int, alpha: float) -> str:
     count of all records, so records outside the range lower every bin."""
     width, height = 640, 420
     x0, y0, x1, y1 = 60.0, 30.0, 610.0, 380.0
+    if not math.isfinite(5.0 * alpha):
+        raise ValueError(f"non-finite histogram range: alpha = {alpha:g} overflows float64")
     counts, edges = np.histogram(records, bins, range=(-5.0 * alpha, 5.0 * alpha))
     widths = np.diff(edges)
     density = counts / (len(records) * widths)

@@ -48,9 +48,3 @@ class TestDriftField:
         top = np.argmin(np.abs(field.phi))  # excited state
         assert mags[top] == mags.max()
         assert field.fixed_point[np.argmin(np.abs(field.phi - math.pi))]
-
-    def test_rms_rotation_positive_off_fixed_points(self):
-        field = drift_field(PARAMS, 1.0, grid_size=72)
-        assert np.all(field.rms_rotation >= 0.0)
-        assert np.all(field.rms_rotation[~field.fixed_point] > 0.0)
-

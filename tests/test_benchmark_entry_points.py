@@ -43,3 +43,12 @@ def test_benchmark_name_resolves(layer, name):
     module = importlib.import_module(f"homodyne_feedback.{layer}")
     assert hasattr(module, name), f"perfbench uses homodyne_feedback.{layer}.{name}"
 
+
+def test_fock_output_shape_read_by_perfbench():
+    # spans.py times beamsplitter_output by keyword and reads the size of
+    # its amplitude array; fock_case passes lo_alpha and source
+    from homodyne_feedback.fock import SourceSpec, beamsplitter_output
+
+    result = beamsplitter_output(lo_alpha=2.0, source=SourceSpec.vacuum())
+    assert result.amplitudes.ndim == 2
+    assert result.amplitudes.shape[0] == result.amplitudes.shape[1]

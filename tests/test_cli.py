@@ -260,26 +260,28 @@ class TestOracle:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--alpha", "6", "--source", "vacuum", "--cutoff", "8"],
             # exp(-alpha^2/2) underflows to 0: exit 4 before any array is sized
             ["--alpha", "40"],
             ["--alpha", "1e200"],
             ["--source", "coherent:1e200,0"],
-            ["--alpha", "1e200", "--cutoff", "5"],
         ],
     )
     def test_cutoff_too_small_exits_4(self, tmp_path, flags):
         assert main(["oracle", *flags, "--out", str(tmp_path / "pmf.csv")]) == 4
         assert list(tmp_path.iterdir()) == []
 
-    def test_negative_cutoff_exits_2(self, tmp_path, capsys):
-        # at the default alpha, and at one the oracle cannot hold: the bad
-        # flag is reported first
-        for flags in ([], ["--alpha", "1e200"]):
-            argv = ["oracle", *flags, "--cutoff", "-3", "--out", str(tmp_path / "pmf.csv")]
-            assert main(argv) == 2, flags
-            assert "cutoff must be >= 0, got -3" in capsys.readouterr().err
-            assert list(tmp_path.iterdir()) == []
+    def test_cutoff_is_not_settable(self, tmp_path, capsys):
+        # the oracle sizes its truncation from the amplitudes alone
+        out = tmp_path / "pmf.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--cutoff", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cutoff 5" in capsys.readouterr().err
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("alpha=2\ncutoff=5\n")
+        assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}:2: unknown key 'cutoff'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize(
@@ -466,6 +468,23 @@ class TestFigure:
         assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha,code", [("1e308", 2), ("1e300", 0)])
+    def test_overflowing_histogram_range_exits_2(self, tmp_path, capsys, alpha, code):
+        # the bins span +-5 alpha, which overflows float64 above ~3.6e307
+        out = tmp_path / "x.svg"
+        assert main(
+            [
+                "figure", "--kind", "record-histogram", "--alpha", alpha,
+                "--samples", "10", "--out", str(out),
+            ]
+        ) == code
+        if code:
+            message = "error: non-finite histogram range: alpha = 1e+308 overflows float64"
+            assert capsys.readouterr().err.splitlines() == [message]
+            assert not out.exists()
+        else:
+            assert 'class="bin"' in out.read_text()
+
 
 class TestOutputsPinned:
     # sha256 of each output file; a changed byte is a format, model or RNG
@@ -544,6 +563,28 @@ def test_main_dispatches_through_module_attributes(monkeypatch, tmp_path, comman
     assert main([command, "--out", str(tmp_path / "x")]) == 7
     assert calls == [command]
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["simulate", "--steps", "20000000000", "--trajectories", "1"], "run_ensemble"),
+        (["figure", "--kind", "record-histogram", "--samples", "100000000000"], "sample_records"),
+    ],
+)
+def test_memory_error_exits_2(monkeypatch, tmp_path, capsys, argv, target):
+    # a real allocation of this size could succeed lazily and then exhaust
+    # memory, so the array allocation's failure is stood in for
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 596. GiB for an array")
+
+    monkeypatch.setattr(cli, target, refuse)
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: Unable to allocate 596. GiB for an array"
+    ]
+    assert not out.exists()
 
 
 class TestImportCost:

@@ -19,15 +19,13 @@ from homodyne_feedback import (
 from homodyne_feedback.fock import Pmf, coherent_amplitudes, default_cutoff
 
 
-def reference_beamsplitter(lo_alpha, source, cutoff=None):
+def reference_beamsplitter(lo_alpha, source):
     """Scalar-loop expansion over (nb, ell, na), one row of j at a time: the
     summation order the vectorised beamsplitter_output must reproduce."""
-    if cutoff is None:
-        cutoff = default_cutoff(lo_alpha)
-    a = coherent_amplitudes(lo_alpha, cutoff)
+    na_max = default_cutoff(lo_alpha)
+    a = coherent_amplitudes(lo_alpha, na_max)
     b = fock._source_amplitudes(source)
 
-    na_max = cutoff
     nb_max = len(b) - 1
     dim = na_max + nb_max + 1
     out = np.zeros((dim, dim), dtype=complex)
@@ -87,7 +85,7 @@ class TestSourceSpec:
 
 class TestBeamsplitter:
     def test_all_vacuum(self):
-        field = beamsplitter_output(0.0, SourceSpec.vacuum(), cutoff=5)
+        field = beamsplitter_output(0.0, SourceSpec.vacuum())
         p = np.abs(field.amplitudes) ** 2
         assert p[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -122,19 +120,15 @@ class TestBeamsplitter:
         d = coherent_amplitudes((alpha - beta) / math.sqrt(2.0), dim - 1)
         assert np.max(np.abs(field.amplitudes - np.outer(c, d))) <= 1e-10
 
-    def test_cutoff_too_small(self):
-        with pytest.raises(CutoffError):
-            beamsplitter_output(6.0, SourceSpec.vacuum(), cutoff=10)
-
-    def test_underflowing_alpha_refused_with_explicit_cutoff(self):
-        # an explicit cutoff skipped the underflow check, and the LO
-        # amplitudes then raised OverflowError on abs(alpha) ** 2
-        with pytest.raises(CutoffError, match=r"alpha = 1e\+200 is too large"):
-            beamsplitter_output(1e200, SourceSpec.vacuum(), cutoff=5)
-
-    def test_negative_cutoff_rejected(self):
-        with pytest.raises(ValueError, match="cutoff must be >= 0, got -3"):
-            beamsplitter_output(2.0, SourceSpec.vacuum(), cutoff=-3)
+    # a cutoff of 10 at |gamma| = 6 (mean photon number 36) leaves out nearly
+    # all the norm; the same check guards the LO and a coherent source
+    @pytest.mark.parametrize(
+        "lo_alpha,source", [(6.0, SourceSpec.vacuum()), (0.0, SourceSpec.coherent(6.0))]
+    )
+    def test_cutoff_too_small(self, monkeypatch, lo_alpha, source):
+        monkeypatch.setattr(fock, "default_cutoff", lambda alpha: 10 if alpha == 6.0 else 20)
+        with pytest.raises(CutoffError, match=r"cutoff 10 leaves leakage .* at \|gamma\| = 6$"):
+            beamsplitter_output(lo_alpha, source)
 
     @pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])
     def test_lo_alpha_must_be_finite_and_non_negative(self, alpha):
@@ -156,13 +150,11 @@ class TestBeamsplitterBitIdentity:
         field = beamsplitter_output(alpha, source)
         assert np.array_equal(field.amplitudes, reference_beamsplitter(alpha, source))
 
-    def test_explicit_cutoff_spanning_several_blocks(self):
-        cutoff = 300
-        assert (cutoff + 1) * (cutoff + 2) // 2 > fock._BLOCK_PAIRS
-        field = beamsplitter_output(3.0, QUBIT, cutoff=cutoff)
-        assert np.array_equal(
-            field.amplitudes, reference_beamsplitter(3.0, QUBIT, cutoff=cutoff)
-        )
+    def test_largest_case_spans_several_blocks(self):
+        # alpha = 14 above is the case whose (na, j) pairs need more than one
+        # block, so the block-by-block summation order is checked there
+        n = default_cutoff(14.0) + 1
+        assert n * (n + 1) // 2 == 63_903 > fock._BLOCK_PAIRS
 
 
 class TestDeltaNPmf:

@@ -1,11 +1,14 @@
-"""Every `hdsim` command shown in the README's `sh` blocks runs and exits 0."""
+"""Every `hdsim` command shown in the README's `sh` blocks runs and exits 0,
+and the README's CLI section names only flags and figure kinds that exist."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from homodyne_feedback import cli
 from homodyne_feedback.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -43,3 +46,23 @@ def test_readme_command_runs(tmp_path, monkeypatch, argv):
     assert main(argv) == 0
     out = argv[argv.index("--out") + 1]
     assert (tmp_path / out).stat().st_size > 0
+
+
+CLI_SECTION = re.search(r"^## CLI usage\n(.*?)^## ", README.read_text(), re.M | re.S).group(1)
+
+
+def test_cli_section_names_only_real_flags():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for parser in sub.choices.values() for flag in parser._option_string_actions}
+    named = set(re.findall(r"--[a-z][a-z-]*", CLI_SECTION))
+    assert named and named <= flags, sorted(named - flags)
+
+
+def test_figure_kind_table_matches_cli():
+    # | `kind` | `--flag` (default), ... |  lists each kind's flags beyond the
+    # physical parameters every kind reads
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", CLI_SECTION, re.M))
+    assert set(rows) == set(cli._FIGURE_KINDS)
+    for kind, reads in cli._FIGURE_KINDS.items():
+        listed = set(re.findall(r"`--([a-z-]+)`", rows[kind]))
+        assert listed == set(reads) - set(cli._PARAMS), kind
