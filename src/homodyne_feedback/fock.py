@@ -7,14 +7,19 @@ the Fock basis (log-space binomial expansion), independently of any analytic
 shortcut, so closed-form results (coherent-state factorization, the Skellam
 law, the weak-field Gaussian) can be used as cross-checks.
 
-For each source photon number nb and binomial index ell, the expansion over
-the LO photon number na and its binomial index j (0 <= j <= na) runs as one
-vectorised pass over all (na, j) pairs, taken in row blocks of about 2**15
-pairs to bound the temporaries.  Summation order is fixed: for a given
+The beamsplitter conserves total photon number, so the expansion runs one
+band of total photon number N = m + r at a time, each band holding about
+_BAND_CELLS output cells (m, r).  Within a band, for each source photon
+number nb and binomial index ell, the expansion over the LO photon number
+na = N - nb and its binomial index j (0 <= j <= na) runs as one vectorised
+pass over the band's (na, j) pairs.  Summation order is fixed: for a given
 (nb, ell) each output cell (m, r) receives at most one term (j = m - ell,
-na = m + r - nb), so adding a block at a time while (nb, ell) stays the
-outer loop sums every cell in the same order as a scalar loop over nb, ell,
-na, j, and the amplitudes are bit-for-bit reproducible.
+na = m + r - nb), every cell lies in exactly one band, and (nb, ell) stays
+the outer loop within it, so every cell is summed in the same order as a
+scalar loop over nb, ell, na, j, and the amplitudes are bit-for-bit
+reproducible.  `delta_n_pmf` never forms the 2-D field: it keeps
+|amplitude|^2 only for the cells that can be nonzero (m + r < dim),
+diagonal m - r after diagonal, about dim**2 / 2 floats.
 
 The truncation is not an option: the LO and a coherent source are both
 built by `_coherent`, which expands |gamma> to default_cutoff(|gamma|)
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BLOCK_PAIRS = 1 << 15  # (na, j) pairs per vectorised block of the expansion
+_BAND_CELLS = 1 << 14  # output cells per band; bounds the expansion's temporaries
 
 
 class CutoffError(ValueError):
@@ -140,19 +145,6 @@ def _source_amplitudes(source: SourceSpec) -> np.ndarray:
     return _coherent(source.beta)
 
 
-def _row_blocks(rows: np.ndarray):
-    """Split LO photon numbers `rows` into consecutive runs holding about
-    _BLOCK_PAIRS (na, j) pairs each (row na holds na + 1 pairs)."""
-    start, pairs = 0, 0
-    for i, na in enumerate(rows):
-        pairs += int(na) + 1
-        if pairs >= _BLOCK_PAIRS:
-            yield rows[start:i + 1]
-            start, pairs = i + 1, 0
-    if start < len(rows):
-        yield rows[start:]
-
-
 def _pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All (na, j) with na in `rows` and 0 <= j <= na, row by row."""
     counts = rows + 1
@@ -161,12 +153,19 @@ def _pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return na, j
 
 
-def beamsplitter_output(lo_alpha: float, source: SourceSpec) -> FockField:
-    """Joint output amplitudes of |alpha> (x) |source> under the 50:50
-    transform c = (a + b)/sqrt(2), d = (a - b)/sqrt(2).
+def _check_norm(norm: float) -> None:
+    if abs(norm - 1.0) > 1e-9:
+        raise CutoffError(f"output norm {norm:.12g} deviates from 1")
 
-    Brute-force Fock-basis expansion; raises CutoffError as `_coherent`
-    does, or when the output norm is off 1 by more than 1e-9.
+
+def _bands(lo_alpha: float, source: SourceSpec):
+    """Output dimension `dim` and an iterator over the bands of the joint
+    output amplitudes of |alpha> (x) |source>.
+
+    Each band is the run of total photon numbers n0 <= N < n1 (N = m + r)
+    holding about _BAND_CELLS cells; the bands cover 0 <= N < dim, the only
+    cells that can be nonzero.  A band comes as (m, r, amps): its cells in
+    order of N, then m, and their amplitudes.  Raises as `_coherent` does.
     """
     from scipy.special import gammaln
 
@@ -177,53 +176,96 @@ def beamsplitter_output(lo_alpha: float, source: SourceSpec) -> FockField:
 
     nb_max = len(b) - 1
     dim = len(a) + nb_max
-    out = np.zeros((dim, dim), dtype=complex)
-
     lf = gammaln(np.arange(dim + 1) + 1.0)  # log(n!)
     half_ln2 = 0.5 * math.log(2.0)
     with np.errstate(divide="ignore"):
         log_a = np.log(np.abs(a))
-    blocks = list(_row_blocks(np.flatnonzero(np.isfinite(log_a))))
+    rows = np.flatnonzero(np.isfinite(log_a))
+    tri = np.arange(dim + 1) * np.arange(1, dim + 2) // 2  # cells with m + r < N
 
-    for nb in range(nb_max + 1):
-        if b[nb] == 0:
-            continue
-        src_mag = abs(b[nb])
-        src_phase = b[nb] / src_mag
-        log_src = math.log(src_mag)
-        for ell in range(nb + 1):
-            sign = -1.0 if (nb - ell) % 2 else 1.0
-            log_c_nb = lf[nb] - lf[ell] - lf[nb - ell]
-            for rows in blocks:
-                na, j = _pairs(rows)
+    def band(n0: int, n1: int) -> np.ndarray:
+        """Amplitudes of the cells n0 <= m + r < n1, in order of m + r, then m."""
+        amps = np.zeros(int(tri[n1] - tri[n0]), dtype=complex)
+        for nb in range(nb_max + 1):
+            if b[nb] == 0:
+                continue
+            src_mag = abs(b[nb])
+            src_phase = b[nb] / src_mag
+            log_src = math.log(src_mag)
+            na, j = _pairs(rows[(rows >= n0 - nb) & (rows < n1 - nb)])
+            cell = tri[na + nb] - tri[n0] + j  # + ell: the band's index of cell (m, r)
+            # the ell-free head and tail of log_term, in its order of summation
+            head = (
+                log_a[na]
+                + log_src
+                - (na + nb) * half_ln2
+                + (lf[na] - lf[j] - lf[na - j])  # C(na, j)
+            )
+            tail = 0.5 * (lf[na] + lf[nb])
+            for ell in range(nb + 1):
+                sign = -1.0 if (nb - ell) % 2 else 1.0
+                log_c_nb = lf[nb] - lf[ell] - lf[nb - ell]
                 m = j + ell
                 r = na + nb - m
-                log_term = (
-                    log_a[na]
-                    + log_src
-                    - (na + nb) * half_ln2
-                    + (lf[na] - lf[j] - lf[na - j])  # C(na, j)
-                    + log_c_nb
-                    + 0.5 * (lf[m] + lf[r])
-                    - 0.5 * (lf[na] + lf[nb])
-                )
-                out[m, r] += sign * src_phase * np.exp(log_term)
+                log_term = head + log_c_nb + 0.5 * (lf[m] + lf[r]) - tail
+                amps[cell + ell] += sign * src_phase * np.exp(log_term)
+        return amps
 
+    def bands():
+        n0 = 0
+        while n0 < dim:
+            n1 = n0 + 1
+            while n1 < dim and tri[n1] - tri[n0] < _BAND_CELLS:
+                n1 += 1
+            amps = band(n0, n1)
+            total, m = _pairs(np.arange(n0, n1))
+            yield m, total - m, amps
+            n0 = n1
+
+    return dim, bands()
+
+
+def beamsplitter_output(lo_alpha: float, source: SourceSpec) -> FockField:
+    """Joint output amplitudes of |alpha> (x) |source> under the 50:50
+    transform c = (a + b)/sqrt(2), d = (a - b)/sqrt(2).
+
+    Brute-force Fock-basis expansion; raises CutoffError as `_coherent`
+    does, or when the output norm is off 1 by more than 1e-9.
+    """
+    dim, bands = _bands(lo_alpha, source)
+    out = np.zeros((dim, dim), dtype=complex)
+    for m, r, amps in bands:
+        out[m, r] = amps
     field = FockField(out)
-    if abs(field.norm() - 1.0) > 1e-9:
-        raise CutoffError(f"output norm {field.norm():.12g} deviates from 1")
+    _check_norm(field.norm())
     return field
 
 
 def delta_n_pmf(lo_alpha: float, source: SourceSpec) -> Pmf:
-    """Exact distribution of delta_n = n_detector1 - n_detector2."""
-    field = beamsplitter_output(lo_alpha, source)
-    p2 = np.abs(field.amplitudes) ** 2
-    dim = p2.shape[0]
+    """Exact distribution of delta_n = n_detector1 - n_detector2.
+
+    Bin k sums |amplitude|^2 over the output diagonal m - r = k, padded with
+    the zeros of the cells m + r >= dim to its full length dim - |k|, so each
+    bin is the same pairwise sum as over the 2-D field's diagonal.  Raises as
+    `beamsplitter_output` does.
+    """
+    dim, bands = _bands(lo_alpha, source)
+    top = dim - 1
+    # |amplitude|^2 of the cells m + r <= top, diagonal k = m - r after
+    # diagonal, each in order of m: cell (m, r) sits at starts[k + top] + min(m, r)
+    lengths = (top - np.abs(np.arange(-top, dim))) // 2 + 1
+    starts = np.cumsum(lengths) - lengths
+    p2 = np.empty(int(lengths.sum()))
+    for m, r, amps in bands:
+        p2[starts[m - r + top] + np.minimum(m, r)] = np.abs(amps) ** 2
+    _check_norm(float(np.sum(p2)))
+
     probs = np.empty(2 * dim - 1)
-    for k in range(-(dim - 1), dim):
-        probs[k + dim - 1] = float(np.sum(np.diagonal(p2, offset=-k)))
-    return Pmf(offset=-(dim - 1), probabilities=probs)
+    for i, (start, n) in enumerate(zip(starts.tolist(), lengths.tolist())):
+        diagonal = np.zeros(dim - abs(i - top))
+        diagonal[:n] = p2[start:start + n]
+        probs[i] = float(np.sum(diagonal))
+    return Pmf(offset=-top, probabilities=probs)
 
 
 def skellam_pmf(k, mu1: float, mu2: float):

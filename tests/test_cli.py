@@ -270,6 +270,13 @@ class TestOracle:
         assert main(["oracle", *flags, "--out", str(tmp_path / "pmf.csv")]) == 4
         assert list(tmp_path.iterdir()) == []
 
+    def test_lost_norm_exits_4(self, tmp_path, capsys):
+        # a strong coherent source loses norm to cancellation in the expansion
+        flags = ["--alpha", "6", "--source", "coherent:4,0"]
+        assert main(["oracle", *flags, "--out", str(tmp_path / "pmf.csv")]) == 4
+        assert capsys.readouterr().err == "error: output norm 1.00000000178 deviates from 1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_cutoff_is_not_settable(self, tmp_path, capsys):
         # the oracle sizes its truncation from the amplitudes alone
         out = tmp_path / "pmf.csv"

@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,9 +21,11 @@ from homodyne_feedback import (
 from homodyne_feedback.fock import Pmf, coherent_amplitudes, default_cutoff
 
 
+@functools.cache
 def reference_beamsplitter(lo_alpha, source):
     """Scalar-loop expansion over (nb, ell, na), one row of j at a time: the
-    summation order the vectorised beamsplitter_output must reproduce."""
+    summation order the vectorised beamsplitter_output must reproduce.
+    Cached, and read-only, since several tests compare with the same case."""
     na_max = default_cutoff(lo_alpha)
     a = coherent_amplitudes(lo_alpha, na_max)
     b = fock._source_amplitudes(source)
@@ -60,6 +64,7 @@ def reference_beamsplitter(lo_alpha, source):
                     - 0.5 * (lf[na] + lf[nb])
                 )
                 out[m, r] += sign * src_phase * np.exp(log_term)
+    out.flags.writeable = False
     return out
 
 
@@ -140,6 +145,12 @@ QUBIT = SourceSpec.qubit(0.6, 0.8 * cmath.exp(0.3j))
 COHERENT = SourceSpec.coherent(1.5 * cmath.exp(0.7j))
 
 
+# the cases of TestBeamsplitterBitIdentity below
+BIT_IDENTITY_CASES = [(a, s) for s in (SourceSpec.vacuum(), QUBIT) for a in (2.0, 6.0, 14.0)] + [
+    (2.0, COHERENT), (4.0, COHERENT)
+]
+
+
 class TestBeamsplitterBitIdentity:
     @pytest.mark.parametrize(
         "alpha,source",
@@ -150,11 +161,47 @@ class TestBeamsplitterBitIdentity:
         field = beamsplitter_output(alpha, source)
         assert np.array_equal(field.amplitudes, reference_beamsplitter(alpha, source))
 
-    def test_largest_case_spans_several_blocks(self):
-        # alpha = 14 above is the case whose (na, j) pairs need more than one
-        # block, so the block-by-block summation order is checked there
-        n = default_cutoff(14.0) + 1
-        assert n * (n + 1) // 2 == 63_903 > fock._BLOCK_PAIRS
+    def test_largest_case_spans_several_bands(self):
+        # alpha = 14 above is the case whose output cells fill more than one
+        # band, so the band-by-band summation order is checked there
+        for source in (SourceSpec.vacuum(), QUBIT):
+            _, bands = fock._bands(14.0, source)
+            assert sum(1 for _ in bands) > 1
+
+
+class TestDeltaNPmfBitIdentity:
+    @pytest.mark.parametrize("alpha,source", BIT_IDENTITY_CASES)
+    def test_matches_diagonal_sums_of_scalar_loop(self, alpha, source):
+        p2 = np.abs(reference_beamsplitter(alpha, source)) ** 2
+        dim = p2.shape[0]
+        expected = [np.sum(np.diagonal(p2, offset=-k)) for k in range(-(dim - 1), dim)]
+        pmf = delta_n_pmf(alpha, source)
+        assert pmf.offset == -(dim - 1)
+        assert np.array_equal(pmf.probabilities, expected)
+
+
+class TestOutputNorm:
+    # the log-space expansion loses norm to cancellation for a strong
+    # coherent source; the pmf refuses it as the 2-D field does
+    @pytest.mark.parametrize("build", [delta_n_pmf, beamsplitter_output])
+    def test_lost_norm_refused(self, build):
+        with pytest.raises(CutoffError, match=r"^output norm 1\.00000000178 deviates from 1$"):
+            build(6.0, SourceSpec.coherent(4.0))
+
+
+class TestDeltaNPmfMemory:
+    def test_peak_allocation_is_below_half_the_complex_field(self):
+        # the pmf keeps |amplitude|^2 of the cells m + r < dim, diagonal by
+        # diagonal, and never forms the 16 * dim**2-byte complex field
+        source = SourceSpec.qubit(0.6, 0.8)
+        dim = default_cutoff(30.0) + 2
+        tracemalloc.start()
+        try:
+            delta_n_pmf(30.0, source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * dim * dim / 2
 
 
 class TestDeltaNPmf:
