@@ -7,19 +7,21 @@ the Fock basis (log-space binomial expansion), independently of any analytic
 shortcut, so closed-form results (coherent-state factorization, the Skellam
 law, the weak-field Gaussian) can be used as cross-checks.
 
-The beamsplitter conserves total photon number, so the expansion runs one
-band of total photon number N = m + r at a time, each band holding about
-_BAND_CELLS output cells (m, r).  Within a band, for each source photon
-number nb and binomial index ell, the expansion over the LO photon number
-na = N - nb and its binomial index j (0 <= j <= na) runs as one vectorised
-pass over the band's (na, j) pairs.  Summation order is fixed: for a given
-(nb, ell) each output cell (m, r) receives at most one term (j = m - ell,
-na = m + r - nb), every cell lies in exactly one band, and (nb, ell) stays
-the outer loop within it, so every cell is summed in the same order as a
-scalar loop over nb, ell, na, j, and the amplitudes are bit-for-bit
-reproducible.  `delta_n_pmf` never forms the 2-D field: it keeps
-|amplitude|^2 only for the cells that can be nonzero (m + r < dim),
-diagonal m - r after diagonal, about dim**2 / 2 floats.
+The expansion runs one block of consecutive output diagonals k = m - r at a
+time, each block holding about _BLOCK_CELLS output cells (m, r).  Within a
+block, for each source photon number nb, the (na, j) pairs of the LO photon
+number na and its binomial index j (0 <= j <= na) whose cells can land in
+the block are listed in order of d = 2j - na, since the term (na, j, ell)
+lands on diagonal k = d + 2 ell - nb; each binomial index ell then runs as
+one vectorised pass over the contiguous run of pairs that lands in the
+block.  Summation order is fixed: for a given (nb, ell) each output cell
+(m, r) receives at most one term (j = m - ell, na = m + r - nb), every cell
+lies in exactly one block, and (nb, ell) stays the outer loop within it, so
+every cell is summed in the same order as a scalar loop over nb, ell, na,
+j, and the amplitudes are bit-for-bit reproducible.  A block completes
+whole diagonals, so `delta_n_pmf` sums each bin as soon as its block is
+built, never forms the 2-D field, and holds one block at a time: its
+memory does not grow with the output dimension squared.
 
 The truncation is not an option: the LO and a coherent source are both
 built by `_coherent`, which expands |gamma> to default_cutoff(|gamma|)
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BAND_CELLS = 1 << 14  # output cells per band; bounds the expansion's temporaries
+_BLOCK_CELLS = 1 << 14  # output cells per block; bounds the expansion's temporaries
 
 
 class CutoffError(ValueError):
@@ -145,27 +147,21 @@ def _source_amplitudes(source: SourceSpec) -> np.ndarray:
     return _coherent(source.beta)
 
 
-def _pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All (na, j) with na in `rows` and 0 <= j <= na, row by row."""
-    counts = rows + 1
-    na = np.repeat(rows, counts)
-    j = np.arange(len(na)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return na, j
-
-
 def _check_norm(norm: float) -> None:
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # written so that a NaN norm fails
         raise CutoffError(f"output norm {norm:.12g} deviates from 1")
 
 
-def _bands(lo_alpha: float, source: SourceSpec):
-    """Output dimension `dim` and an iterator over the bands of the joint
+def _blocks(lo_alpha: float, source: SourceSpec):
+    """Output dimension `dim` and an iterator over the blocks of the joint
     output amplitudes of |alpha> (x) |source>.
 
-    Each band is the run of total photon numbers n0 <= N < n1 (N = m + r)
-    holding about _BAND_CELLS cells; the bands cover 0 <= N < dim, the only
-    cells that can be nonzero.  A band comes as (m, r, amps): its cells in
-    order of N, then m, and their amplitudes.  Raises as `_coherent` does.
+    Each block is the run of diagonals k0 <= k < k1 (k = m - r) holding about
+    _BLOCK_CELLS cells; the blocks cover -dim < k < dim in order.  A block
+    comes as (k0, amps, lengths): row i of amps is diagonal k0 + i, whose
+    first lengths[i] entries are its cells m + r < dim (the only ones that
+    can be nonzero) in order of m, and the rest zeros.  Raises as
+    `_coherent` does.
     """
     from scipy.special import gammaln
 
@@ -176,53 +172,74 @@ def _bands(lo_alpha: float, source: SourceSpec):
 
     nb_max = len(b) - 1
     dim = len(a) + nb_max
+    top = dim - 1
     lf = gammaln(np.arange(dim + 1) + 1.0)  # log(n!)
     half_ln2 = 0.5 * math.log(2.0)
-    with np.errstate(divide="ignore"):
-        log_a = np.log(np.abs(a))
-    rows = np.flatnonzero(np.isfinite(log_a))
-    tri = np.arange(dim + 1) * np.arange(1, dim + 2) // 2  # cells with m + r < N
+    # a[n] = a[n - 1] * gamma / sqrt(n) and a[0] > 0, so the nonzero a[n]
+    # are the first ones, n <= na_top
+    na_top = int(np.count_nonzero(a)) - 1
+    log_a = np.log(np.abs(a[:na_top + 1]))
+    # a source coefficient below the smallest normal float is skipped, as 0
+    # is: dividing by its subnormal magnitude gives inf + nan j
+    terms = [
+        (nb, b[nb] / abs(b[nb]), math.log(abs(b[nb])))  # (nb, phase, log magnitude)
+        for nb in range(nb_max + 1)
+        if abs(b[nb]) >= np.finfo(float).tiny
+    ]
+    lengths = (top - np.abs(np.arange(-top, dim))) // 2 + 1  # cells m + r < dim of diagonal k - top
 
-    def band(n0: int, n1: int) -> np.ndarray:
-        """Amplitudes of the cells n0 <= m + r < n1, in order of m + r, then m."""
-        amps = np.zeros(int(tri[n1] - tri[n0]), dtype=complex)
-        for nb in range(nb_max + 1):
-            if b[nb] == 0:
-                continue
-            src_mag = abs(b[nb])
-            src_phase = b[nb] / src_mag
-            log_src = math.log(src_mag)
-            na, j = _pairs(rows[(rows >= n0 - nb) & (rows < n1 - nb)])
-            cell = tri[na + nb] - tri[n0] + j  # + ell: the band's index of cell (m, r)
+    def pairs(d0: int, d1: int):
+        """(na, j, d) of the pairs na <= na_top, 0 <= j <= na, with
+        d0 <= d = 2j - na < d1, in order of d, then na; and the index where
+        each d's pairs start, plus the end."""
+        d = np.arange(d0, d1)
+        counts = np.maximum((na_top - np.abs(d)) // 2 + 1, 0)  # na = |d|, |d| + 2, ...
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        j = np.arange(starts[-1]) + np.repeat(np.maximum(d, 0) - starts[:-1], counts)
+        d = np.repeat(d, counts)
+        return 2 * j - d, j, d, starts
+
+    def block(k0: int, k1: int) -> np.ndarray:
+        """Amplitudes of the diagonals k0 <= k < k1, diagonal k in row k - k0
+        at column min(m, r)."""
+        width = int(lengths[k0 + top:k1 + top].max())
+        amps = np.zeros((k1 - k0, width), dtype=complex)
+        flat = amps.reshape(-1)
+        # term (na, j, ell) lands on diagonal k = d + 2 ell - nb, so only the
+        # pairs with k0 - nb_max <= d < k1 + nb_max can land in the block
+        na, j, d, starts = pairs(k0 - nb_max, k1 + nb_max)
+        row = (d - k0) * width  # flat start of row d - k0; term ell adds (2 ell - nb) rows
+        log_a_na, lf_na = log_a[na], lf[na]
+        binom = lf_na - lf[j] - lf[na - j]  # log C(na, j)
+        for nb, src_phase, log_src in terms:
+            p = slice(starts[nb_max - nb], starts[nb_max + nb + k1 - k0])  # k0 - nb <= d < k1 + nb
+            na_p, j_p, row_p = na[p], j[p], row[p]
             # the ell-free head and tail of log_term, in its order of summation
-            head = (
-                log_a[na]
-                + log_src
-                - (na + nb) * half_ln2
-                + (lf[na] - lf[j] - lf[na - j])  # C(na, j)
-            )
-            tail = 0.5 * (lf[na] + lf[nb])
+            head = log_a_na[p] + log_src - (na_p + nb) * half_ln2 + binom[p]
+            tail = 0.5 * (lf_na[p] + lf[nb])
+            at = starts[nb_max - nb:] - p.start  # where d = k0 - nb + i starts in the slice
             for ell in range(nb + 1):
                 sign = -1.0 if (nb - ell) % 2 else 1.0
                 log_c_nb = lf[nb] - lf[ell] - lf[nb - ell]
-                m = j + ell
-                r = na + nb - m
-                log_term = head + log_c_nb + 0.5 * (lf[m] + lf[r]) - tail
-                amps[cell + ell] += sign * src_phase * np.exp(log_term)
+                i = 2 * (nb - ell)  # d = k0 - nb + i lands on diagonal k0
+                s = slice(at[i], at[i + k1 - k0])
+                m = j_p[s] + ell
+                r = na_p[s] + nb - m
+                log_term = head[s] + log_c_nb + 0.5 * (lf[m] + lf[r]) - tail[s]
+                cell = row_p[s] + (2 * ell - nb) * width + np.minimum(m, r)
+                flat[cell] += sign * src_phase * np.exp(log_term)
         return amps
 
-    def bands():
-        n0 = 0
-        while n0 < dim:
-            n1 = n0 + 1
-            while n1 < dim and tri[n1] - tri[n0] < _BAND_CELLS:
-                n1 += 1
-            amps = band(n0, n1)
-            total, m = _pairs(np.arange(n0, n1))
-            yield m, total - m, amps
-            n0 = n1
+    def blocks():
+        cells = np.concatenate(([0], np.cumsum(lengths)))  # cells below diagonal i - top
+        i0 = 0
+        while i0 < len(lengths):
+            i1 = int(np.searchsorted(cells, cells[i0] + _BLOCK_CELLS))
+            i1 = min(max(i1, i0 + 1), len(lengths))
+            yield i0 - top, block(i0 - top, i1 - top), lengths[i0:i1]
+            i0 = i1
 
-    return dim, bands()
+    return dim, blocks()
 
 
 def beamsplitter_output(lo_alpha: float, source: SourceSpec) -> FockField:
@@ -232,10 +249,12 @@ def beamsplitter_output(lo_alpha: float, source: SourceSpec) -> FockField:
     Brute-force Fock-basis expansion; raises CutoffError as `_coherent`
     does, or when the output norm is off 1 by more than 1e-9.
     """
-    dim, bands = _bands(lo_alpha, source)
+    dim, blocks = _blocks(lo_alpha, source)
     out = np.zeros((dim, dim), dtype=complex)
-    for m, r, amps in bands:
-        out[m, r] = amps
+    for k0, amps, lengths in blocks:
+        for k, (row, n) in enumerate(zip(amps, lengths.tolist()), k0):
+            m = np.arange(max(k, 0), max(k, 0) + n)
+            out[m, m - k] = row[:n]
     field = FockField(out)
     _check_norm(field.norm())
     return field
@@ -249,22 +268,15 @@ def delta_n_pmf(lo_alpha: float, source: SourceSpec) -> Pmf:
     bin is the same pairwise sum as over the 2-D field's diagonal.  Raises as
     `beamsplitter_output` does.
     """
-    dim, bands = _bands(lo_alpha, source)
+    dim, blocks = _blocks(lo_alpha, source)
     top = dim - 1
-    # |amplitude|^2 of the cells m + r <= top, diagonal k = m - r after
-    # diagonal, each in order of m: cell (m, r) sits at starts[k + top] + min(m, r)
-    lengths = (top - np.abs(np.arange(-top, dim))) // 2 + 1
-    starts = np.cumsum(lengths) - lengths
-    p2 = np.empty(int(lengths.sum()))
-    for m, r, amps in bands:
-        p2[starts[m - r + top] + np.minimum(m, r)] = np.abs(amps) ** 2
-    _check_norm(float(np.sum(p2)))
-
     probs = np.empty(2 * dim - 1)
-    for i, (start, n) in enumerate(zip(starts.tolist(), lengths.tolist())):
-        diagonal = np.zeros(dim - abs(i - top))
-        diagonal[:n] = p2[start:start + n]
-        probs[i] = float(np.sum(diagonal))
+    for k0, amps, lengths in blocks:
+        for k, (row, n) in enumerate(zip(np.abs(amps) ** 2, lengths.tolist()), k0):
+            diagonal = np.zeros(dim - abs(k))
+            diagonal[:n] = row[:n]
+            probs[k + top] = float(np.sum(diagonal))
+    _check_norm(float(np.sum(probs)))
     return Pmf(offset=-top, probabilities=probs)
 
 

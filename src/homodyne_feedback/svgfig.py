@@ -141,8 +141,12 @@ def histogram_svg(records: np.ndarray, bins: int, alpha: float) -> str:
         raise ValueError(f"non-finite histogram range: alpha = {alpha:g} overflows float64")
     counts, edges = np.histogram(records, bins, range=(-5.0 * alpha, 5.0 * alpha))
     widths = np.diff(edges)
-    density = counts / (len(records) * widths)
-    ref = pdf_vacuum(0.5 * (edges[:-1] + edges[1:]), alpha)
+    # bins of a tiny alpha are so narrow that the densities overflow
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        density = counts / (len(records) * widths)
+        ref = pdf_vacuum(0.5 * (edges[:-1] + edges[1:]), alpha)
+    if not (np.all(np.isfinite(density)) and np.all(np.isfinite(ref))):
+        raise ValueError(f"non-finite histogram density: alpha = {alpha:g} is too small")
     ymax = max(float(density.max(initial=0.0)), float(ref.max())) or 1.0
     span = edges[-1] - edges[0]
 

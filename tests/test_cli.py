@@ -270,6 +270,33 @@ class TestOracle:
         assert main(["oracle", *flags, "--out", str(tmp_path / "pmf.csv")]) == 4
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "alpha,source,mean,variance",
+        [
+            # c1 = 1e-320: mean 2 alpha Re(c0* c1) ~ 0, variance alpha^2 (1 + 2|c1|^2) + |c1|^2
+            (3.0, "qubit:1,0,1e-320,0", 0.0, 9.0),
+            # beta = 1e-160, whose |beta|^2 / sqrt(2) term is subnormal: mean
+            # 2 alpha beta ~ 0, variance alpha^2 + |beta|^2
+            (2.0, "coherent:1e-160,0", 0.0, 4.0),
+        ],
+    )
+    def test_subnormal_source_amplitude(self, tmp_path, alpha, source, mean, variance):
+        out = tmp_path / "pmf.csv"
+        assert main(
+            ["oracle", "--alpha", repr(alpha), "--source", source, "--out", str(out)]
+        ) == 0
+        _, _, rows = read_csv(out)
+        probs = np.array([float(r[1]) for r in rows])
+        assert np.all(np.isfinite(probs)) and probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+        def refuse(name):
+            raise ValueError(f"non-finite {name} in the summary")
+
+        text = (tmp_path / "pmf.summary.json").read_text()
+        summary = json.loads(text, parse_constant=refuse)
+        assert summary["mean"] == pytest.approx(mean, abs=1e-8)
+        assert summary["variance"] == pytest.approx(variance, rel=1e-8)
+
     def test_lost_norm_exits_4(self, tmp_path, capsys):
         # a strong coherent source loses norm to cancellation in the expansion
         flags = ["--alpha", "6", "--source", "coherent:4,0"]
@@ -475,19 +502,26 @@ class TestFigure:
         assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("alpha,code", [("1e308", 2), ("1e300", 0)])
-    def test_overflowing_histogram_range_exits_2(self, tmp_path, capsys, alpha, code):
-        # the bins span +-5 alpha, which overflows float64 above ~3.6e307
+    @pytest.mark.parametrize(
+        "alpha,bins,message",
+        [
+            # the bins span +-5 alpha, which overflows float64 above ~3.6e307
+            ("1e308", "100", "non-finite histogram range: alpha = 1e+308 overflows float64"),
+            ("1e300", "100", None),
+            # two bins of width ~5e-320 make every density overflow
+            ("1e-320", "2", "non-finite histogram density: alpha = 9.99989e-321 is too small"),
+        ],
+    )
+    def test_overflowing_histogram_range_exits_2(self, tmp_path, capsys, alpha, bins, message):
         out = tmp_path / "x.svg"
         assert main(
             [
                 "figure", "--kind", "record-histogram", "--alpha", alpha,
-                "--samples", "10", "--out", str(out),
+                "--samples", "10", "--bins", bins, "--out", str(out),
             ]
-        ) == code
-        if code:
-            message = "error: non-finite histogram range: alpha = 1e+308 overflows float64"
-            assert capsys.readouterr().err.splitlines() == [message]
+        ) == (2 if message else 0)
+        if message:
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
             assert not out.exists()
         else:
             assert 'class="bin"' in out.read_text()

@@ -161,12 +161,27 @@ class TestBeamsplitterBitIdentity:
         field = beamsplitter_output(alpha, source)
         assert np.array_equal(field.amplitudes, reference_beamsplitter(alpha, source))
 
-    def test_largest_case_spans_several_bands(self):
+    def test_largest_case_spans_several_blocks(self):
         # alpha = 14 above is the case whose output cells fill more than one
-        # band, so the band-by-band summation order is checked there
+        # block, so the block-by-block summation order is checked there
         for source in (SourceSpec.vacuum(), QUBIT):
-            _, bands = fock._bands(14.0, source)
-            assert sum(1 for _ in bands) > 1
+            _, blocks = fock._blocks(14.0, source)
+            assert sum(1 for _ in blocks) > 1
+
+
+@pytest.mark.parametrize("alpha,source", BIT_IDENTITY_CASES)
+def test_small_blocks_keep_every_bit(monkeypatch, alpha, source):
+    # with 256-cell blocks every case spans several blocks, so the runs of
+    # (na, j) pairs are cut at block edges on both sides
+    monkeypatch.setattr(fock, "_BLOCK_CELLS", 256)
+    _, blocks = fock._blocks(alpha, source)
+    assert sum(1 for _ in blocks) >= 3
+    field = reference_beamsplitter(alpha, source)
+    assert np.array_equal(beamsplitter_output(alpha, source).amplitudes, field)
+    p2 = np.abs(field) ** 2
+    dim = p2.shape[0]
+    expected = [np.sum(np.diagonal(p2, offset=-k)) for k in range(-(dim - 1), dim)]
+    assert np.array_equal(delta_n_pmf(alpha, source).probabilities, expected)
 
 
 class TestDeltaNPmfBitIdentity:
@@ -188,20 +203,44 @@ class TestOutputNorm:
         with pytest.raises(CutoffError, match=r"^output norm 1\.00000000178 deviates from 1$"):
             build(6.0, SourceSpec.coherent(4.0))
 
+    def test_nan_norm_refused(self):
+        with pytest.raises(CutoffError, match=r"^output norm nan deviates from 1$"):
+            fock._check_norm(math.nan)
+
+    @pytest.mark.parametrize("build", [delta_n_pmf, beamsplitter_output])
+    def test_subnormal_source_coefficient_is_skipped_as_zero(self, build):
+        # dividing by a subnormal magnitude for the coefficient's phase gives
+        # inf + nan j (and a RuntimeWarning); the coefficient is skipped, as
+        # an exact zero is
+        def values(out):
+            return out.probabilities if build is delta_n_pmf else out.amplitudes
+
+        tiny = build(3.0, SourceSpec.qubit(1.0, 1e-320))
+        assert np.array_equal(values(tiny), values(build(3.0, SourceSpec.qubit(1.0, 0.0))))
+
+
+def _traced_peak(build, *args) -> int:
+    tracemalloc.start()
+    try:
+        build(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestDeltaNPmfMemory:
     def test_peak_allocation_is_below_half_the_complex_field(self):
-        # the pmf keeps |amplitude|^2 of the cells m + r < dim, diagonal by
-        # diagonal, and never forms the 16 * dim**2-byte complex field
-        source = SourceSpec.qubit(0.6, 0.8)
+        # the pmf never forms the 16 * dim**2-byte complex field
         dim = default_cutoff(30.0) + 2
-        tracemalloc.start()
-        try:
-            delta_n_pmf(30.0, source)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * dim * dim / 2
+        assert _traced_peak(delta_n_pmf, 30.0, SourceSpec.qubit(0.6, 0.8)) <= 16 * dim * dim / 2
+
+    def test_peak_allocation_does_not_grow_with_alpha(self):
+        # the pmf holds one block of diagonals at a time, so its peak stays
+        # put as dim grows from 622 (alpha = 20) to 1222 (alpha = 30); a
+        # store of the dim**2 / 2 cells would double it
+        source = SourceSpec.qubit(0.6, 0.8)
+        peak20 = _traced_peak(delta_n_pmf, 20.0, source)
+        assert _traced_peak(delta_n_pmf, 30.0, source) <= 1.25 * peak20
 
 
 class TestDeltaNPmf:
