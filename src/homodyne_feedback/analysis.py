@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import SimParams
-from .measurement import record_shift
+from .measurement import pdf_vacuum, record_shift
 
 _FIXED_POINT_TOL = 1e-12
 
@@ -25,10 +25,6 @@ class DriftField:
     phi: np.ndarray
     mean_rotation_given_positive: np.ndarray
     fixed_point: np.ndarray
-
-
-def _gauss_density(x):
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def drift_field(params: SimParams, g: float, grid_size: int = 72) -> DriftField:
@@ -54,9 +50,8 @@ def drift_field(params: SimParams, g: float, grid_size: int = 72) -> DriftField:
     p_minus = 0.5 * (1.0 - s_x)
     # E[dn 1{dn>0}] and P(dn>0) for the +/-mu mixture
     t = mu / sigma
-    e_pos = p_plus * (mu * ndtr(t) + sigma * _gauss_density(t)) + p_minus * (
-        -mu * ndtr(-t) + sigma * _gauss_density(t)
-    )
+    density = pdf_vacuum(t, 1.0)  # standard normal density at t
+    e_pos = p_plus * (mu * ndtr(t) + sigma * density) + p_minus * (-mu * ndtr(-t) + sigma * density)
     p_pos = p_plus * ndtr(t) + p_minus * ndtr(-t)
     mean_dn_given_pos = e_pos / p_pos
 

@@ -158,11 +158,7 @@ CSV_HEADER = ",".join(["step", *_STATS_COLUMNS])
 def _run_settings(values: dict) -> dict:
     # output paths are not simulation parameters; leaving them out keeps
     # identically-configured runs byte-identical regardless of destination
-    return {
-        k: v
-        for k, v in values.items()
-        if k not in ("out", "dump-trajectories") and v is not None
-    }
+    return {k: v for k, v in values.items() if k not in ("out", "dump-trajectories")}
 
 
 def _config_lines(values: dict) -> list[str]:
@@ -227,7 +223,7 @@ def cmd_oracle(args) -> int:
 
     probs = pmf.probabilities
     nz = np.nonzero(probs)[0]
-    lo, hi = (int(nz[0]), int(nz[-1])) if len(nz) else (0, len(probs) - 1)
+    lo, hi = int(nz[0]), int(nz[-1])  # the norm check has passed, so some bin is nonzero
     lines = _config_lines(values) + ["delta_n,probability"]
     lines += [f"{pmf.offset + i},{p!r}" for i, p in enumerate(probs[lo : hi + 1].tolist(), lo)]
     Path(values["out"]).write_text("\n".join(lines) + "\n")

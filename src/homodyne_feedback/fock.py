@@ -8,20 +8,21 @@ shortcut, so closed-form results (coherent-state factorization, the Skellam
 law, the weak-field Gaussian) can be used as cross-checks.
 
 The expansion runs one block of consecutive output diagonals k = m - r at a
-time, each block holding about _BLOCK_CELLS output cells (m, r).  Within a
-block, for each source photon number nb, the (na, j) pairs of the LO photon
-number na and its binomial index j (0 <= j <= na) whose cells can land in
-the block are listed in order of d = 2j - na, since the term (na, j, ell)
-lands on diagonal k = d + 2 ell - nb; each binomial index ell then runs as
-one vectorised pass over the contiguous run of pairs that lands in the
-block.  Summation order is fixed: for a given (nb, ell) each output cell
-(m, r) receives at most one term (j = m - ell, na = m + r - nb), every cell
-lies in exactly one block, and (nb, ell) stays the outer loop within it, so
-every cell is summed in the same order as a scalar loop over nb, ell, na,
-j, and the amplitudes are bit-for-bit reproducible.  A block completes
-whole diagonals, so `delta_n_pmf` sums each bin as soon as its block is
-built, never forms the 2-D field, and holds one block at a time: its
-memory does not grow with the output dimension squared.
+time, each block holding about _BLOCK_CELLS output cells (m, r).  Each block
+lists once the (na, j) pairs of the LO photon number na and its binomial
+index j (0 <= j <= na) whose terms can land in it, in order of d = 2j - na,
+since the term (na, j, ell) of source photon number nb lands on diagonal
+k = d + 2 ell - nb; each (nb, ell) then runs as one vectorised pass over the
+contiguous run of that list that lands in the block.  Blocks are yielded as
+(k0, diagonals), each diagonal its cells in order of m.  Summation order is
+fixed: for a given (nb, ell) each output cell (m, r) receives at most one
+term (j = m - ell, na = m + r - nb), every cell lies in exactly one block,
+and (nb, ell) stays the outer loop within it, so every cell is summed in the
+same order as a scalar loop over nb, ell, na, j, and the amplitudes are
+bit-for-bit reproducible.  A block completes whole diagonals, so
+`delta_n_pmf` sums each bin as soon as its block is built, never forms the
+2-D field, and holds one block at a time: its memory does not grow with the
+output dimension squared.
 
 The truncation is not an option: the LO and a coherent source are both
 built by `_coherent`, which expands |gamma> to default_cutoff(|gamma|)
@@ -158,10 +159,9 @@ def _blocks(lo_alpha: float, source: SourceSpec):
 
     Each block is the run of diagonals k0 <= k < k1 (k = m - r) holding about
     _BLOCK_CELLS cells; the blocks cover -dim < k < dim in order.  A block
-    comes as (k0, amps, lengths): row i of amps is diagonal k0 + i, whose
-    first lengths[i] entries are its cells m + r < dim (the only ones that
-    can be nonzero) in order of m, and the rest zeros.  Raises as
-    `_coherent` does.
+    comes as (k0, diagonals): diagonals[i] holds exactly the cells m + r <
+    dim (the only ones that can be nonzero) of diagonal k0 + i, in order of
+    m.  Raises as `_coherent` does.
     """
     from scipy.special import gammaln
 
@@ -188,47 +188,39 @@ def _blocks(lo_alpha: float, source: SourceSpec):
     ]
     lengths = (top - np.abs(np.arange(-top, dim))) // 2 + 1  # cells m + r < dim of diagonal k - top
 
-    def pairs(d0: int, d1: int):
-        """(na, j, d) of the pairs na <= na_top, 0 <= j <= na, with
-        d0 <= d = 2j - na < d1, in order of d, then na; and the index where
-        each d's pairs start, plus the end."""
-        d = np.arange(d0, d1)
-        counts = np.maximum((na_top - np.abs(d)) // 2 + 1, 0)  # na = |d|, |d| + 2, ...
-        starts = np.concatenate(([0], np.cumsum(counts)))
-        j = np.arange(starts[-1]) + np.repeat(np.maximum(d, 0) - starts[:-1], counts)
-        d = np.repeat(d, counts)
-        return 2 * j - d, j, d, starts
-
-    def block(k0: int, k1: int) -> np.ndarray:
-        """Amplitudes of the diagonals k0 <= k < k1, diagonal k in row k - k0
-        at column min(m, r)."""
-        width = int(lengths[k0 + top:k1 + top].max())
-        amps = np.zeros((k1 - k0, width), dtype=complex)
+    def block(k0: int, k1: int) -> list[np.ndarray]:
+        """The diagonals k0 <= k < k1, each its cells m + r < dim in order of m."""
+        n = lengths[k0 + top:k1 + top]
+        width = int(n.max())
+        amps = np.zeros((k1 - k0, width), dtype=complex)  # diagonal k: row k - k0, col min(m, r)
         flat = amps.reshape(-1)
         # term (na, j, ell) lands on diagonal k = d + 2 ell - nb, so only the
-        # pairs with k0 - nb_max <= d < k1 + nb_max can land in the block
-        na, j, d, starts = pairs(k0 - nb_max, k1 + nb_max)
+        # pairs na <= na_top, 0 <= j <= na with k0 - nb_max <= d = 2j - na <
+        # k1 + nb_max can land in the block; they are listed in order of d, then na
+        d = np.arange(k0 - nb_max, k1 + nb_max)
+        counts = np.maximum((na_top - np.abs(d)) // 2 + 1, 0)  # na = |d|, |d| + 2, ...
+        starts = np.concatenate(([0], np.cumsum(counts)))  # where each d's pairs start, and the end
+        j = np.arange(starts[-1]) + np.repeat(np.maximum(d, 0) - starts[:-1], counts)
+        d = np.repeat(d, counts)
+        na = 2 * j - d
         row = (d - k0) * width  # flat start of row d - k0; term ell adds (2 ell - nb) rows
         log_a_na, lf_na = log_a[na], lf[na]
         binom = lf_na - lf[j] - lf[na - j]  # log C(na, j)
         for nb, src_phase, log_src in terms:
-            p = slice(starts[nb_max - nb], starts[nb_max + nb + k1 - k0])  # k0 - nb <= d < k1 + nb
-            na_p, j_p, row_p = na[p], j[p], row[p]
             # the ell-free head and tail of log_term, in its order of summation
-            head = log_a_na[p] + log_src - (na_p + nb) * half_ln2 + binom[p]
-            tail = 0.5 * (lf_na[p] + lf[nb])
-            at = starts[nb_max - nb:] - p.start  # where d = k0 - nb + i starts in the slice
+            head = log_a_na + log_src - (na + nb) * half_ln2 + binom
+            tail = 0.5 * (lf_na + lf[nb])
             for ell in range(nb + 1):
                 sign = -1.0 if (nb - ell) % 2 else 1.0
                 log_c_nb = lf[nb] - lf[ell] - lf[nb - ell]
-                i = 2 * (nb - ell)  # d = k0 - nb + i lands on diagonal k0
-                s = slice(at[i], at[i + k1 - k0])
-                m = j_p[s] + ell
-                r = na_p[s] + nb - m
+                i = nb_max + nb - 2 * ell  # d = k0 - nb_max + i lands on diagonal k0
+                s = slice(starts[i], starts[i + k1 - k0])
+                m = j[s] + ell
+                r = na[s] + nb - m
                 log_term = head[s] + log_c_nb + 0.5 * (lf[m] + lf[r]) - tail[s]
-                cell = row_p[s] + (2 * ell - nb) * width + np.minimum(m, r)
+                cell = row[s] + (2 * ell - nb) * width + np.minimum(m, r)
                 flat[cell] += sign * src_phase * np.exp(log_term)
-        return amps
+        return [diagonal[:length] for diagonal, length in zip(amps, n.tolist())]
 
     def blocks():
         cells = np.concatenate(([0], np.cumsum(lengths)))  # cells below diagonal i - top
@@ -236,7 +228,7 @@ def _blocks(lo_alpha: float, source: SourceSpec):
         while i0 < len(lengths):
             i1 = int(np.searchsorted(cells, cells[i0] + _BLOCK_CELLS))
             i1 = min(max(i1, i0 + 1), len(lengths))
-            yield i0 - top, block(i0 - top, i1 - top), lengths[i0:i1]
+            yield i0 - top, block(i0 - top, i1 - top)
             i0 = i1
 
     return dim, blocks()
@@ -251,10 +243,10 @@ def beamsplitter_output(lo_alpha: float, source: SourceSpec) -> FockField:
     """
     dim, blocks = _blocks(lo_alpha, source)
     out = np.zeros((dim, dim), dtype=complex)
-    for k0, amps, lengths in blocks:
-        for k, (row, n) in enumerate(zip(amps, lengths.tolist()), k0):
-            m = np.arange(max(k, 0), max(k, 0) + n)
-            out[m, m - k] = row[:n]
+    for k0, diagonals in blocks:
+        for k, diagonal in enumerate(diagonals, k0):
+            m = np.arange(max(k, 0), max(k, 0) + len(diagonal))
+            out[m, m - k] = diagonal
     field = FockField(out)
     _check_norm(field.norm())
     return field
@@ -271,11 +263,11 @@ def delta_n_pmf(lo_alpha: float, source: SourceSpec) -> Pmf:
     dim, blocks = _blocks(lo_alpha, source)
     top = dim - 1
     probs = np.empty(2 * dim - 1)
-    for k0, amps, lengths in blocks:
-        for k, (row, n) in enumerate(zip(np.abs(amps) ** 2, lengths.tolist()), k0):
-            diagonal = np.zeros(dim - abs(k))
-            diagonal[:n] = row[:n]
-            probs[k + top] = float(np.sum(diagonal))
+    for k0, diagonals in blocks:
+        for k, diagonal in enumerate(diagonals, k0):
+            padded = np.zeros(dim - abs(k))
+            padded[:len(diagonal)] = np.abs(diagonal) ** 2
+            probs[k + top] = float(np.sum(padded))
     _check_norm(float(np.sum(probs)))
     return Pmf(offset=-top, probabilities=probs)
 
@@ -295,12 +287,10 @@ def skellam_pmf(k, mu1: float, mu2: float):
     k = np.atleast_1d(k).astype(int)
     if mu1 == 0.0 and mu2 == 0.0:
         p = np.where(k == 0, 1.0, 0.0)
-    elif mu2 == 0.0:
-        kk = np.maximum(k, 0)
-        p = np.where(k >= 0, np.exp(-mu1 + kk * math.log(mu1) - gammaln(kk + 1.0)), 0.0)
-    elif mu1 == 0.0:
-        kk = np.maximum(-k, 0)
-        p = np.where(k <= 0, np.exp(-mu2 + kk * math.log(mu2) - gammaln(kk + 1.0)), 0.0)
+    elif mu1 == 0.0 or mu2 == 0.0:
+        mu, n = (mu1, k) if mu2 == 0.0 else (mu2, -k)  # Poisson(mu) at n
+        nn = np.maximum(n, 0)
+        p = np.where(n >= 0, np.exp(-mu + nn * math.log(mu) - gammaln(nn + 1.0)), 0.0)
     else:
         x = 2.0 * math.sqrt(mu1 * mu2)
         # ive underflows to 0 far in the tail; log -> -inf and exp -> 0 there

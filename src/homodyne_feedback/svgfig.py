@@ -88,34 +88,38 @@ def drift_field_svg(fields: Sequence[DriftField], labels: Sequence[str]) -> str:
     return _svg(panel_w * len(fields), height, body)
 
 
-def _axes(x0, y0, x1, y1):
-    return [
-        f'<line x1="{_f(x0)}" y1="{_f(y1)}" x2="{_f(x1)}" y2="{_f(y1)}" '
+# The plot area of the decay and histogram figures inside their 640 x 420 frame.
+_X0, _Y0, _X1, _Y1 = 60.0, 30.0, 610.0, 380.0
+
+
+def _plot(x_lo, x_hi, y_lo, y_hi):
+    """Maps of data x in [x_lo, x_hi] and y in [y_lo, y_hi] onto the plot
+    area (y grows upward), and its axes lines."""
+
+    def sx(v):
+        return _X0 + (_X1 - _X0) * (v - x_lo) / (x_hi - x_lo)
+
+    def sy(v):
+        return _Y1 - (_Y1 - _Y0) * (v - y_lo) / (y_hi - y_lo)
+
+    axes = [
+        f'<line x1="{_f(_X0)}" y1="{_f(_Y1)}" x2="{_f(_X1)}" y2="{_f(_Y1)}" '
         'stroke="black" stroke-width="1"/>\n',
-        f'<line x1="{_f(x0)}" y1="{_f(y0)}" x2="{_f(x0)}" y2="{_f(y1)}" '
+        f'<line x1="{_f(_X0)}" y1="{_f(_Y0)}" x2="{_f(_X0)}" y2="{_f(_Y1)}" '
         'stroke="black" stroke-width="1"/>\n',
     ]
+    return sx, sy, axes
 
 
 def decay_svg(result: EnsembleResult) -> str:
     """Mean inversion versus time with a standard-error band."""
-    width, height = 640, 420
-    x0, y0, x1, y1 = 60.0, 30.0, 610.0, 380.0
     t = result.time
-    t_span = float(t[-1]) if t[-1] > 0 else 1.0
-
-    def sx(v):
-        return x0 + (x1 - x0) * v / t_span
-
-    def sy(v):  # s_z in [-1, 1]
-        return y1 - (y1 - y0) * (v + 1.0) / 2.0
-
+    sx, sy, body = _plot(0.0, float(t[-1]) if t[-1] > 0 else 1.0, -1.0, 1.0)
     lo = np.clip(result.mean_sz - result.stderr_sz, -1.0, 1.0)
     hi = np.clip(result.mean_sz + result.stderr_sz, -1.0, 1.0)
     band = [f"{_f(sx(tv))},{_f(sy(v))}" for tv, v in zip(t, hi)]
     band += [f"{_f(sx(tv))},{_f(sy(v))}" for tv, v in zip(t[::-1], lo[::-1])]
     line = " ".join(f"{_f(sx(tv))},{_f(sy(v))}" for tv, v in zip(t, result.mean_sz))
-    body = _axes(x0, y0, x1, y1)
     body.append(
         f'<polygon class="stderr-band" points="{" ".join(band)}" '
         'fill="lightsteelblue" stroke="none"/>\n'
@@ -125,48 +129,38 @@ def decay_svg(result: EnsembleResult) -> str:
         'stroke="navy" stroke-width="1.5"/>\n'
     )
     body.append(
-        f'<text x="{_f((x0 + x1) / 2)}" y="410" text-anchor="middle" '
+        f'<text x="{_f((_X0 + _X1) / 2)}" y="410" text-anchor="middle" '
         'font-family="sans-serif" font-size="13">time</text>\n'
     )
-    return _svg(width, height, body)
+    return _svg(640, 420, body)
 
 
 def histogram_svg(records: np.ndarray, bins: int, alpha: float) -> str:
     """Histogram of `records` in `bins` equal bins on [-5 alpha, 5 alpha]
     with the weak-field Gaussian overlaid.  Densities are normalised by the
     count of all records, so records outside the range lower every bin."""
-    width, height = 640, 420
-    x0, y0, x1, y1 = 60.0, 30.0, 610.0, 380.0
     if not math.isfinite(5.0 * alpha):
         raise ValueError(f"non-finite histogram range: alpha = {alpha:g} overflows float64")
     counts, edges = np.histogram(records, bins, range=(-5.0 * alpha, 5.0 * alpha))
     widths = np.diff(edges)
+    centers = 0.5 * (edges[:-1] + edges[1:])
     # bins of a tiny alpha are so narrow that the densities overflow
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         density = counts / (len(records) * widths)
-        ref = pdf_vacuum(0.5 * (edges[:-1] + edges[1:]), alpha)
+        ref = pdf_vacuum(centers, alpha)
     if not (np.all(np.isfinite(density)) and np.all(np.isfinite(ref))):
         raise ValueError(f"non-finite histogram density: alpha = {alpha:g} is too small")
     ymax = max(float(density.max(initial=0.0)), float(ref.max())) or 1.0
-    span = edges[-1] - edges[0]
-
-    def sx(v):
-        return x0 + (x1 - x0) * (v - edges[0]) / span
-
-    def sy(v):
-        return y1 - (y1 - y0) * v / (1.05 * ymax)
-
-    body = _axes(x0, y0, x1, y1)
+    sx, sy, body = _plot(edges[0], edges[-1], 0.0, 1.05 * ymax)
     for left, w, d in zip(edges[:-1], widths, density):
         body.append(
             f'<rect class="bin" x="{_f(sx(left))}" y="{_f(sy(d))}" '
-            f'width="{_f((x1 - x0) * w / span)}" height="{_f(y1 - sy(d))}" '
+            f'width="{_f((_X1 - _X0) * w / (edges[-1] - edges[0]))}" height="{_f(_Y1 - sy(d))}" '
             'fill="lightgray" stroke="gray" stroke-width="0.5"/>\n'
         )
-    centers = 0.5 * (edges[:-1] + edges[1:])
     line = " ".join(f"{_f(sx(c))},{_f(sy(p))}" for c, p in zip(centers, ref))
     body.append(
         f'<polyline class="vacuum-pdf" points="{line}" fill="none" '
         'stroke="crimson" stroke-width="1.5"/>\n'
     )
-    return _svg(width, height, body)
+    return _svg(640, 420, body)

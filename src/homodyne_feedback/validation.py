@@ -11,6 +11,7 @@ import math
 import os
 from dataclasses import dataclass
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 from scipy.special import ndtri
@@ -205,22 +206,13 @@ def check_purity_and_determinism() -> CheckResult:
         n_steps=100, n_trajectories=10_000, seed=6,
     )
     results = []
-    saved = os.environ.get("SIM_THREADS")
-    try:
-        for t in ("1", "2", "8"):
-            os.environ["SIM_THREADS"] = t
+    for t in ("1", "2", "8"):
+        with mock.patch.dict(os.environ, {"SIM_THREADS": t}):
             results.append(run_ensemble(ens_config))
-    finally:
-        if saved is None:
-            os.environ.pop("SIM_THREADS", None)
-        else:
-            os.environ["SIM_THREADS"] = saved
     identical = all(
-        np.array_equal(results[0].mean_sx, r.mean_sx)
-        and np.array_equal(results[0].mean_sz, r.mean_sz)
-        and np.array_equal(results[0].var_sx, r.var_sx)
-        and np.array_equal(results[0].var_sz, r.var_sz)
+        np.array_equal(getattr(results[0], name), getattr(r, name))
         for r in results[1:]
+        for name in ("mean_sx", "mean_sz", "var_sx", "var_sz")
     )
     ok = purity_err <= 1e-12 and identical
     return CheckResult(

@@ -5,7 +5,10 @@ pass/fail report per criterion (the same lines ``hdsim validate`` prints).
 """
 
 import hashlib
+import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from homodyne_feedback import validation
@@ -63,3 +66,45 @@ def test_harness_detects_injected_gain_error(monkeypatch):
         validation, "RunConfig", lambda gain=0.0, **kw: real(gain=1.05 * gain, **kw)
     )
     assert not validation.check_fixed_points().passed
+
+
+MOMENTS = ("mean_sx", "mean_sz", "var_sx", "var_sz")
+
+
+def _fake_runs(monkeypatch, differing=None):
+    """Replace the runs of check_purity_and_determinism with cheap fakes; the
+    ensemble fake records SIM_THREADS, and its 8-thread run differs in the
+    moment `differing`.  Returns the recorded values."""
+    seen = []
+    phi = np.zeros(3)
+    monkeypatch.setattr(validation, "run_trajectory_arrays", lambda config, i: (phi, phi, phi))
+
+    def run_ensemble(config):
+        seen.append(os.environ.get("SIM_THREADS"))
+        moments = {name: np.zeros(4) for name in MOMENTS}
+        if seen[-1] == "8" and differing is not None:
+            moments[differing] = np.ones(4)
+        return SimpleNamespace(**moments)
+
+    monkeypatch.setattr(validation, "run_ensemble", run_ensemble)
+    return seen
+
+
+@pytest.mark.parametrize("before", [None, "3"])
+def test_determinism_check_scopes_sim_threads(monkeypatch, before):
+    if before is None:
+        monkeypatch.delenv("SIM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SIM_THREADS", before)
+    seen = _fake_runs(monkeypatch)
+    assert validation.check_purity_and_determinism().passed
+    assert seen == ["1", "2", "8"]
+    assert os.environ.get("SIM_THREADS") == before
+
+
+@pytest.mark.parametrize("name", MOMENTS)
+def test_determinism_check_compares_every_moment(monkeypatch, name):
+    _fake_runs(monkeypatch, differing=name)
+    result = validation.check_purity_and_determinism()
+    assert not result.passed
+    assert result.detail.endswith("thread-count invariant: False")

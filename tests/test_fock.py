@@ -184,6 +184,29 @@ def test_small_blocks_keep_every_bit(monkeypatch, alpha, source):
     assert np.array_equal(delta_n_pmf(alpha, source).probabilities, expected)
 
 
+@pytest.mark.parametrize("block_cells", [256, fock._BLOCK_CELLS])
+@pytest.mark.parametrize(
+    "alpha,source",
+    [
+        (0.0, SourceSpec.vacuum()),
+        (6.0, SourceSpec.qubit(0.6, 0.8j)),
+        (4.0, SourceSpec.coherent(1.5)),
+    ],
+)
+def test_blocks_yield_each_diagonal_once_with_its_cells(monkeypatch, block_cells, alpha, source):
+    # the blocks run over -dim < k < dim in order, and diagonal k holds
+    # exactly its cells m + r < dim
+    monkeypatch.setattr(fock, "_BLOCK_CELLS", block_cells)
+    dim, blocks = fock._blocks(alpha, source)
+    sizes = {}
+    for k0, diagonals in blocks:
+        for k, diagonal in enumerate(diagonals, k0):
+            assert k not in sizes
+            sizes[k] = len(diagonal)
+    assert list(sizes) == list(range(-(dim - 1), dim))
+    assert all(n == (dim - 1 - abs(k)) // 2 + 1 for k, n in sizes.items())
+
+
 class TestDeltaNPmfBitIdentity:
     @pytest.mark.parametrize("alpha,source", BIT_IDENTITY_CASES)
     def test_matches_diagonal_sums_of_scalar_loop(self, alpha, source):
@@ -293,6 +316,12 @@ class TestSkellam:
         assert skellam_pmf(3, 2.0, 0.0) == pytest.approx(poisson.pmf(3, 2.0), rel=1e-12)
         assert skellam_pmf(-3, 0.0, 2.0) == pytest.approx(poisson.pmf(3, 2.0), rel=1e-12)
         assert skellam_pmf(-1, 2.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("mu", [0.5, 2.0, 40.0])
+    def test_one_sided_limits_mirror_bit_for_bit(self, mu):
+        k = np.arange(-5, 31)
+        assert np.array_equal(skellam_pmf(k, mu, 0.0), skellam_pmf(-k, 0.0, mu))
+        assert all(skellam_pmf(int(n), mu, 0.0) == skellam_pmf(-int(n), 0.0, mu) for n in k)
 
     def test_bessel_value(self):
         assert skellam_pmf(0, 2.0, 2.0) == pytest.approx(0.2070019212, abs=1e-9)
