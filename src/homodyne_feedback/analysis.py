@@ -34,7 +34,7 @@ def drift_field(params: SimParams, g: float, grid_size: int = 72) -> DriftField:
     the conditional record mixture; fixed points are the exact zeros of
     1 + cos(phi) - g.
     """
-    from scipy.special import ndtr
+    from ._cephes import ndtr
 
     if grid_size < 4:
         raise ValueError(f"grid_size must be >= 4, got {grid_size}")

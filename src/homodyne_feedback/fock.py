@@ -29,8 +29,12 @@ built by `_coherent`, which expands |gamma> to default_cutoff(|gamma|)
 photons and refuses an amplitude whose vacuum term underflows or whose
 expansion leaks more than 1e-10 of the norm (CutoffError).
 
-scipy.special is imported inside the functions that use it, so importing
-this module stays cheap.
+log(n!) and the normal distribution function come from `_cephes`, ports of
+the Cephes routines scipy.special compiles, bit-equal to scipy's.  Only
+`skellam_pmf` with both rates positive (the reference for a vacuum source)
+imports scipy.special, for the Bessel function `ive`, which has no such
+port; it does so inside the function, so the other oracle runs and
+importing this module never load scipy (~0.3 s a process).
 """
 
 from __future__ import annotations
@@ -163,7 +167,7 @@ def _blocks(lo_alpha: float, source: SourceSpec):
     dim (the only ones that can be nonzero) of diagonal k0 + i, in order of
     m.  Raises as `_coherent` does.
     """
-    from scipy.special import gammaln
+    from ._cephes import log_factorial
 
     if not (0.0 <= lo_alpha < math.inf):
         raise ValueError(f"lo_alpha must be finite and >= 0, got {lo_alpha}")
@@ -173,7 +177,7 @@ def _blocks(lo_alpha: float, source: SourceSpec):
     nb_max = len(b) - 1
     dim = len(a) + nb_max
     top = dim - 1
-    lf = gammaln(np.arange(dim + 1) + 1.0)  # log(n!)
+    lf = log_factorial(np.arange(dim + 1))
     half_ln2 = 0.5 * math.log(2.0)
     # a[n] = a[n - 1] * gamma / sqrt(n) and a[0] > 0, so the nonzero a[n]
     # are the first ones, n <= na_top
@@ -278,7 +282,7 @@ def skellam_pmf(k, mu1: float, mu2: float):
     Evaluated via the exponentially scaled modified Bessel function; the
     mu1 = 0 or mu2 = 0 limits reduce to a (reflected) Poisson pmf.
     """
-    from scipy.special import gammaln, ive
+    from ._cephes import log_factorial
 
     if mu1 < 0.0 or mu2 < 0.0:
         raise ValueError(f"rates must be >= 0, got {mu1}, {mu2}")
@@ -290,8 +294,10 @@ def skellam_pmf(k, mu1: float, mu2: float):
     elif mu1 == 0.0 or mu2 == 0.0:
         mu, n = (mu1, k) if mu2 == 0.0 else (mu2, -k)  # Poisson(mu) at n
         nn = np.maximum(n, 0)
-        p = np.where(n >= 0, np.exp(-mu + nn * math.log(mu) - gammaln(nn + 1.0)), 0.0)
+        p = np.where(n >= 0, np.exp(-mu + nn * math.log(mu) - log_factorial(nn)), 0.0)
     else:
+        from scipy.special import ive
+
         x = 2.0 * math.sqrt(mu1 * mu2)
         # ive underflows to 0 far in the tail; log -> -inf and exp -> 0 there
         with np.errstate(divide="ignore"):
@@ -309,11 +315,12 @@ def skellam_pmf(k, mu1: float, mu2: float):
 def gaussian_distance(pmf: Pmf, alpha: float) -> float:
     """Total-variation distance between an exact delta_n pmf and the
     weak-field Gaussian of width |alpha|, integrated over unit bins."""
-    from scipy.special import ndtr
+    from ._cephes import ndtr
 
     if not (alpha > 0.0):
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    k = pmf.support()
-    q = ndtr((k + 0.5) / alpha) - ndtr((k - 0.5) / alpha)
+    # bin k spans the edges k -/+ 0.5; each edge is evaluated once
+    edges = ndtr((np.arange(pmf.offset, pmf.offset + len(pmf.probabilities) + 1) - 0.5) / alpha)
+    q = edges[1:] - edges[:-1]
     outside = max(0.0, 1.0 - float(np.sum(q)))
     return 0.5 * (float(np.sum(np.abs(pmf.probabilities - q))) + outside)

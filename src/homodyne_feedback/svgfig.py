@@ -139,7 +139,7 @@ def histogram_svg(records: np.ndarray, bins: int, alpha: float) -> str:
     """Histogram of `records` in `bins` equal bins on [-5 alpha, 5 alpha]
     with the weak-field Gaussian overlaid.  Densities are normalised by the
     count of all records, so records outside the range lower every bin."""
-    if not math.isfinite(5.0 * alpha):
+    if not math.isfinite(10.0 * alpha):  # the range's width, so also its ends
         raise ValueError(f"non-finite histogram range: alpha = {alpha:g} overflows float64")
     counts, edges = np.histogram(records, bins, range=(-5.0 * alpha, 5.0 * alpha))
     widths = np.diff(edges)

@@ -323,6 +323,14 @@ class TestSkellam:
         assert np.array_equal(skellam_pmf(k, mu, 0.0), skellam_pmf(-k, 0.0, mu))
         assert all(skellam_pmf(int(n), mu, 0.0) == skellam_pmf(-int(n), 0.0, mu) for n in k)
 
+    @pytest.mark.parametrize("mu", [0.5, 2.0, 40.0, 450.0])
+    def test_one_sided_limit_matches_scipy_bit_for_bit(self, mu):
+        # the Poisson pmf with scipy's log(n!), the reference for the port
+        k = np.array([-3, 0, 1, 7, 12, 13, 100, 999, 1000, 2500])
+        n = np.maximum(k, 0)
+        ref = np.where(k >= 0, np.exp(-mu + n * math.log(mu) - gammaln(n + 1.0)), 0.0)
+        assert skellam_pmf(k, mu, 0.0).tobytes() == ref.tobytes()
+
     def test_bessel_value(self):
         assert skellam_pmf(0, 2.0, 2.0) == pytest.approx(0.2070019212, abs=1e-9)
 
@@ -357,6 +365,23 @@ class TestGaussianDistance:
         q = ndtr((k + 0.5) / alpha) - ndtr((k - 0.5) / alpha)
         pmf = Pmf(offset=-200, probabilities=q / q.sum())
         assert gaussian_distance(pmf, alpha) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "alpha,source",
+        [(4.0, SourceSpec.vacuum()), (10.0, SourceSpec.qubit(0.6, 0.8j)),
+         (6.0, SourceSpec.coherent(0.5 + 0.25j))],
+    )
+    def test_matches_scipy_bit_for_bit(self, alpha, source):
+        # each bin from scipy's ndtr at its two edges, as the distance was
+        # computed before the port
+        from scipy.special import ndtr
+
+        pmf = delta_n_pmf(alpha, source)
+        k = pmf.support()
+        q = ndtr((k + 0.5) / alpha) - ndtr((k - 0.5) / alpha)
+        outside = max(0.0, 1.0 - float(np.sum(q)))
+        ref = 0.5 * (float(np.sum(np.abs(pmf.probabilities - q))) + outside)
+        assert gaussian_distance(pmf, alpha) == ref
 
     def test_weak_field_convergence(self):
         tv6 = gaussian_distance(delta_n_pmf(6.0, SourceSpec.vacuum()), 6.0)
