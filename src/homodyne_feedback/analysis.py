@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+from ._cephes import ndtr
 from .bloch import SimParams
 from .measurement import pdf_vacuum, record_shift
 
@@ -34,8 +35,6 @@ def drift_field(params: SimParams, g: float, grid_size: int = 72) -> DriftField:
     the conditional record mixture; fixed points are the exact zeros of
     1 + cos(phi) - g.
     """
-    from ._cephes import ndtr
-
     if grid_size < 4:
         raise ValueError(f"grid_size must be >= 4, got {grid_size}")
     j = np.arange(1, grid_size + 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .analysis import drift_field
 from .bloch import BlochState, SimParams
-from .engine import RunConfig, check_gain, run_ensemble, run_trajectory_arrays
+from .engine import BATCH_SIZE, RunConfig, check_gain, run_ensemble, run_trajectory_arrays
 from .fock import CutoffError, SourceSpec, delta_n_pmf, gaussian_distance, skellam_pmf
 from .measurement import SamplingMode, sample_records
 from .streams import CounterStream
@@ -165,9 +166,22 @@ def _config_lines(values: dict) -> list[str]:
     return [f"# {k}={v}" for k, v in sorted(_run_settings(values).items())]
 
 
+# Peak bytes an output holds per element, from tracemalloc at small sizes
+# (CPython 3.11, numpy 2.4); a statistics row is its JSON text, the largest.
+_RECORD_BYTES, _BIN_BYTES, _SUM_BYTES, _ROW_BYTES, _DUMP_BYTES = 56, 410, 8, 1170, 78
+
+
+def _check_fits(what: str, nbytes: int) -> None:
+    """Refuse an output above physical memory before it is allocated (numpy
+    allocates lazily, so memory would run out before any MemoryError)."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise MemoryError(f"{what} need ~{nbytes / 2**30:.3g} GiB of {memory / 2**30:.3g} GiB RAM")
+
+
 def _run_config(values: dict) -> RunConfig:
-    """The ensemble run that a command's run values describe."""
-    return RunConfig(
+    """The ensemble run that a command's run values describe, if its output fits memory."""
+    config = RunConfig(
         params=SimParams(values["gamma"], values["tau"], values["alpha"]),
         gain=parse_policy(values["policy"]),
         mode=parse_sampling(values["sampling"]),
@@ -176,6 +190,11 @@ def _run_config(values: dict) -> RunConfig:
         n_trajectories=values["trajectories"],
         seed=values["seed"],
     )
+    batches = -(-config.n_trajectories // BATCH_SIZE)
+    nbytes = (config.n_steps + 1) * (4 * batches * _SUM_BYTES + _ROW_BYTES)
+    dumped = 3 * config.n_steps * _DUMP_BYTES if values.get("dump-trajectories") else 0
+    _check_fits(f"{config.n_steps} steps x {config.n_trajectories} trajectories", nbytes + dumped)
+    return config
 
 
 def cmd_simulate(args) -> int:
@@ -291,6 +310,8 @@ def cmd_figure(args) -> int:
         for key in ("samples", "bins"):
             if values[key] < 1:
                 raise FlagError(f"{key} must be >= 1, got {values[key]}")
+        nbytes = values["samples"] * _RECORD_BYTES + values["bins"] * _BIN_BYTES
+        _check_fits(f"{values['samples']} records in {values['bins']} bins", nbytes)
         state = parse_initial(values["initial"])
         mode = parse_sampling(values["sampling"])
         rng = CounterStream(values["seed"], 0)
@@ -301,8 +322,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # imported here: the acceptance suite and its scipy dependency are
-    # needed by this subcommand only
+    # imported here: only this subcommand runs the acceptance suite; scipy
+    # loads only when its oracle check reaches skellam_pmf's ive
     from .validation import format_report, run_all
 
     results = run_all()

@@ -30,11 +30,11 @@ photons and refuses an amplitude whose vacuum term underflows or whose
 expansion leaks more than 1e-10 of the norm (CutoffError).
 
 log(n!) and the normal distribution function come from `_cephes`, ports of
-the Cephes routines scipy.special compiles, bit-equal to scipy's.  Only
-`skellam_pmf` with both rates positive (the reference for a vacuum source)
-imports scipy.special, for the Bessel function `ive`, which has no such
-port; it does so inside the function, so the other oracle runs and
-importing this module never load scipy (~0.3 s a process).
+the Cephes routines scipy.special compiles, equal to scipy's value for
+value.  Only `skellam_pmf` with both rates positive (the reference for a
+vacuum source) imports scipy.special, for the Bessel function `ive`, which
+has no such port; it does so inside the function, so the other oracle runs
+and importing this module never load scipy (~0.3 s a process).
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._cephes import log_factorial, ndtr
 
 _BLOCK_CELLS = 1 << 14  # output cells per block; bounds the expansion's temporaries
 
@@ -167,8 +169,6 @@ def _blocks(lo_alpha: float, source: SourceSpec):
     dim (the only ones that can be nonzero) of diagonal k0 + i, in order of
     m.  Raises as `_coherent` does.
     """
-    from ._cephes import log_factorial
-
     if not (0.0 <= lo_alpha < math.inf):
         raise ValueError(f"lo_alpha must be finite and >= 0, got {lo_alpha}")
     a = _coherent(lo_alpha)
@@ -282,8 +282,6 @@ def skellam_pmf(k, mu1: float, mu2: float):
     Evaluated via the exponentially scaled modified Bessel function; the
     mu1 = 0 or mu2 = 0 limits reduce to a (reflected) Poisson pmf.
     """
-    from ._cephes import log_factorial
-
     if mu1 < 0.0 or mu2 < 0.0:
         raise ValueError(f"rates must be >= 0, got {mu1}, {mu2}")
     k = np.asarray(k)
@@ -315,8 +313,6 @@ def skellam_pmf(k, mu1: float, mu2: float):
 def gaussian_distance(pmf: Pmf, alpha: float) -> float:
     """Total-variation distance between an exact delta_n pmf and the
     weak-field Gaussian of width |alpha|, integrated over unit bins."""
-    from ._cephes import ndtr
-
     if not (alpha > 0.0):
         raise ValueError(f"alpha must be > 0, got {alpha}")
     # bin k spans the edges k -/+ 0.5; each edge is evaluated once

@@ -94,7 +94,10 @@ _X0, _Y0, _X1, _Y1 = 60.0, 30.0, 610.0, 380.0
 
 def _plot(x_lo, x_hi, y_lo, y_hi):
     """Maps of data x in [x_lo, x_hi] and y in [y_lo, y_hi] onto the plot
-    area (y grows upward), and its axes lines."""
+    area (y grows upward), and its axes lines; ValueError if a map overflows."""
+    for axis, lo, hi, pixels in (("x", x_lo, x_hi, _X1 - _X0), ("y", y_lo, y_hi, _Y1 - _Y0)):
+        if not math.isfinite(pixels * (float(hi) - float(lo))):
+            raise ValueError(f"plot {axis} axis [{float(lo):g}, {float(hi):g}] overflows float64")
 
     def sx(v):
         return _X0 + (_X1 - _X0) * (v - x_lo) / (x_hi - x_lo)

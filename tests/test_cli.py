@@ -512,6 +512,12 @@ class TestFigure:
             ("1e300", "100", None),
             # two bins of width ~5e-320 make every density overflow
             ("1e-320", "2", "non-finite histogram density: alpha = 9.99989e-321 is too small"),
+            # a finite range or density whose plot map, 550 or 350 pixels
+            # times the axis span, overflows
+            ("1.7e307", "2", "plot x axis [-8.5e+307, 8.5e+307] overflows float64"),
+            ("1e305", "2", "plot x axis [-5e+305, 5e+305] overflows float64"),
+            ("1e-307", "2", "plot y axis [0, 1.26e+306] overflows float64"),
+            ("2e-308", "2", "plot y axis [0, 6.3e+306] overflows float64"),
         ],
     )
     def test_overflowing_histogram_range_exits_2(self, tmp_path, capsys, alpha, bins, message):
@@ -527,6 +533,16 @@ class TestFigure:
             assert not out.exists()
         else:
             assert 'class="bin"' in out.read_text()
+
+    def test_overflowing_decay_time_axis_exits_2(self, tmp_path, capsys):
+        # gamma tau = 0.01 is a valid step, but 550 pixels times the 1e306 run length overflow
+        out = tmp_path / "x.svg"
+        argv = ["--gamma", "1e-306", "--tau", "1e304", "--steps", "100", "--trajectories", "2"]
+        assert main(["figure", "--kind", "decay", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: plot x axis [0, 1e+306] overflows float64"
+        ]
+        assert not out.exists()
 
 
 class TestOutputsPinned:
@@ -611,13 +627,13 @@ def test_main_dispatches_through_module_attributes(monkeypatch, tmp_path, comman
 @pytest.mark.parametrize(
     "argv,target",
     [
-        (["simulate", "--steps", "20000000000", "--trajectories", "1"], "run_ensemble"),
-        (["figure", "--kind", "record-histogram", "--samples", "100000000000"], "sample_records"),
+        (["simulate", "--steps", "20", "--trajectories", "1"], "run_ensemble"),
+        (["figure", "--kind", "record-histogram", "--samples", "100"], "sample_records"),
     ],
 )
 def test_memory_error_exits_2(monkeypatch, tmp_path, capsys, argv, target):
-    # a real allocation of this size could succeed lazily and then exhaust
-    # memory, so the array allocation's failure is stood in for
+    # an allocation that fails although the size rule let its output through
+    # (memory taken by other processes) is stood in for
     def refuse(*args):
         raise MemoryError("Unable to allocate 596. GiB for an array")
 
@@ -630,12 +646,58 @@ def test_memory_error_exits_2(monkeypatch, tmp_path, capsys, argv, target):
     assert not out.exists()
 
 
+def _unreachable(*args):
+    raise AssertionError("reached an allocating callee")
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["simulate", "--steps", "20000000000", "--trajectories", "1"], "run_ensemble"),
+        (["simulate", "--steps", "1000", "--trajectories", str(10**15)], "run_ensemble"),
+        (["figure", "--kind", "decay", "--steps", "20000000000"], "run_ensemble"),
+        (["figure", "--kind", "record-histogram", "--samples", "100000000000"], "sample_records"),
+        (["figure", "--kind", "record-histogram", "--bins", str(10**12)], "sample_records"),
+    ],
+)
+def test_output_above_physical_memory_exits_2(monkeypatch, tmp_path, capsys, argv, target):
+    # numpy allocates lazily, so these would exhaust memory rather than raise
+    # MemoryError: the size rule refuses them before anything is allocated
+    monkeypatch.setattr(cli, target, _unreachable)
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert err[0].endswith("GiB RAM")
+    assert not out.exists()
+
+
+def test_dumped_trajectory_counts_toward_the_size_rule(monkeypatch, tmp_path, capsys):
+    # steps whose statistics fit in physical memory, but not with one dumped
+    # trajectory (3 floats a step) besides
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    steps = memory // (cli._ROW_BYTES + 4 * cli._SUM_BYTES + 3 * cli._DUMP_BYTES) + 1
+    argv = ["simulate", "--steps", str(steps), "--out", str(tmp_path / "x")]
+
+    def reached(config):
+        raise MemoryError("reached run_ensemble")
+
+    monkeypatch.setattr(cli, "run_ensemble", reached)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: reached run_ensemble\n"
+    monkeypatch.setattr(cli, "run_ensemble", _unreachable)
+    assert main([*argv, "--dump-trajectories", str(tmp_path / "d")]) == 2
+    assert "GiB RAM" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 class TestImportCost:
     # `import scipy.special` takes ~0.33 s a launch: ~0.29 s of it is its
     # array-API shim, which clones numpy and so imports numpy.f2py, .random,
     # .testing and .ma; the ufuncs themselves take ~0.01 s.  Only the code
     # that needs what has no port in _cephes may import it: the two-sided
-    # Skellam reference of a vacuum oracle run (ive) and validate (ndtri).
+    # Skellam reference (ive) of a vacuum oracle run and of validate's
+    # oracle check.
     @staticmethod
     def scipy_modules(code):
         src = str(Path(homodyne_feedback.__file__).resolve().parents[1])
@@ -648,7 +710,9 @@ class TestImportCost:
         )
         return proc.stdout.strip().splitlines()[-1]
 
-    @pytest.mark.parametrize("module", ["homodyne_feedback.cli", "homodyne_feedback"])
+    @pytest.mark.parametrize(
+        "module", ["homodyne_feedback.cli", "homodyne_feedback", "homodyne_feedback.validation"]
+    )
     def test_import_loads_no_scipy(self, module):
         assert self.scipy_modules(f"import sys, {module}") == "[]"
 
