@@ -17,9 +17,7 @@ from .bloch import (
 from .engine import (
     EnsembleResult,
     RunConfig,
-    StepRecord,
     run_ensemble,
-    run_trajectory,
     run_trajectory_arrays,
 )
 from .fock import (
@@ -55,9 +53,7 @@ __all__ = [
     "sample_records",
     "bayes_dipole_update",
     "RunConfig",
-    "StepRecord",
     "EnsembleResult",
-    "run_trajectory",
     "run_trajectory_arrays",
     "run_ensemble",
     "CounterStream",

@@ -162,13 +162,21 @@ def _run_settings(values: dict) -> dict:
     return {k: v for k, v in values.items() if k not in ("out", "dump-trajectories")}
 
 
-def _config_lines(values: dict) -> list[str]:
-    return [f"# {k}={v}" for k, v in sorted(_run_settings(values).items())]
+def _write_csv(f, values: dict, header: str, rows) -> None:
+    """Write the run settings as `# key=value` lines, the header, then each
+    row's values as repr, the shortest text that reads a float back bit for bit."""
+    f.writelines(f"# {k}={v}\n" for k, v in sorted(_run_settings(values).items()))
+    f.write(header + "\n")
+    f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 # Peak bytes an output holds per element, from tracemalloc at small sizes
-# (CPython 3.11, numpy 2.4); a statistics row is its JSON text, the largest.
-_RECORD_BYTES, _BIN_BYTES, _SUM_BYTES, _ROW_BYTES, _DUMP_BYTES = 56, 410, 8, 1170, 78
+# (CPython 3.11, numpy 2.4).  A statistics row is the slope of `simulate`'s
+# peak between 1,000 and 41,000 steps (10 trajectories): 313 B a step as
+# CSV and 314 B as JSON, both streamed to the file.  A drift-field grid
+# point costs 347 B a panel, the same slope of `figure --kind drift-field`.
+_RECORD_BYTES, _BIN_BYTES, _SUM_BYTES, _ROW_BYTES, _DUMP_BYTES = 56, 410, 8, 315, 78
+_GRID_BYTES = 348
 
 
 def _check_fits(what: str, nbytes: int) -> None:
@@ -205,27 +213,31 @@ def cmd_simulate(args) -> int:
     result = run_ensemble(config)
     stats = {"step": list(range(len(result.time)))}
     stats |= {name: getattr(result, attr).tolist() for name, attr in _STATS_COLUMNS.items()}
-    if values["format"] == "csv":
-        # floats are written as repr, the shortest text that reads back bit for bit
-        rows = [",".join(map(repr, row)) for row in zip(*stats.values())]
-        text = "\n".join(_config_lines(values) + [CSV_HEADER] + rows) + "\n"
-    else:
-        payload = {"config": _run_settings(values), "seed": config.seed, "columns": stats}
-        text = json.dumps(payload, indent=2) + "\n"
-    Path(values["out"]).write_text(text)
+    # written as encoded, never held as one whole text, so _ROW_BYTES bounds a step
+    with open(values["out"], "w") as f:
+        if values["format"] == "csv":
+            _write_csv(f, values, CSV_HEADER, zip(*stats.values()))
+        else:
+            payload = {"config": _run_settings(values), "seed": config.seed, "columns": stats}
+            json.dump(payload, f, indent=2)
+            f.write("\n")
 
     if values["dump-trajectories"]:
-        tau = config.params.tau
         with open(values["dump-trajectories"], "w") as f:
-            f.write("\n".join(_config_lines(values) + [TRAJ_HEADER]) + "\n")
-            for i in range(config.n_trajectories):
-                dn, th, phi = run_trajectory_arrays(config, i)
-                columns = (phi, np.sin(phi), np.cos(phi), dn, th)
-                # the dumped state is the post-step state, so its time stamp is
-                # (k + 1) * tau, matching the ensemble CSV rows
-                for k, row in enumerate(zip(*(c.tolist() for c in columns)), 1):
-                    f.write(",".join([str(i), str(k), repr(k * tau), *map(repr, row)]) + "\n")
+            _write_csv(f, values, TRAJ_HEADER, _dump_rows(config))
     return 0
+
+
+def _dump_rows(config: RunConfig):
+    """The TRAJ_HEADER rows of every trajectory, one trajectory held at a time."""
+    tau = config.params.tau
+    for i in range(config.n_trajectories):
+        dn, th, phi = run_trajectory_arrays(config, i)
+        columns = (phi, np.sin(phi), np.cos(phi), dn, th)
+        # the dumped state is the post-step state, so its time stamp is
+        # (k + 1) * tau, matching the ensemble CSV rows
+        for k, row in enumerate(zip(*(c.tolist() for c in columns)), 1):
+            yield (i, k, k * tau, *row)
 
 
 _ORACLE_SPEC = {
@@ -243,9 +255,9 @@ def cmd_oracle(args) -> int:
     probs = pmf.probabilities
     nz = np.nonzero(probs)[0]
     lo, hi = int(nz[0]), int(nz[-1])  # the norm check has passed, so some bin is nonzero
-    lines = _config_lines(values) + ["delta_n,probability"]
-    lines += [f"{pmf.offset + i},{p!r}" for i, p in enumerate(probs[lo : hi + 1].tolist(), lo)]
-    Path(values["out"]).write_text("\n".join(lines) + "\n")
+    with open(values["out"], "w") as f:
+        rows = enumerate(probs[lo : hi + 1].tolist(), pmf.offset + lo)
+        _write_csv(f, values, "delta_n,probability", rows)
 
     summary = {
         "mean": pmf.mean(),
@@ -295,6 +307,8 @@ def cmd_figure(args) -> int:
     if kind == "drift-field":
         policies = list(_POLICIES) if values["policy"] is None else [values["policy"]]
         gains = [parse_policy(p) for p in policies]
+        nbytes = len(gains) * values["grid"] * _GRID_BYTES
+        _check_fits(f"{len(gains)} panels x {values['grid']} angles", nbytes)
         fields = [drift_field(params, g, values["grid"]) for g in gains]
         labels = [
             _POLICIES[p][1] if p in _POLICIES else f"Custom gain {g:g}"

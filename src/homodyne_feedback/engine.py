@@ -102,14 +102,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    step_index: int
-    delta_n: float
-    theta: float
-    state_after: BlochState
-
-
-@dataclass(frozen=True)
 class EnsembleResult:
     """Per-step moment statistics over an ensemble (step 0 = initial state).
 
@@ -338,14 +330,8 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
     return out[0], out[1], out[2]
 
 
-def run_trajectory(config: RunConfig, trajectory_index: int) -> list[StepRecord]:
-    """Sequential steps from config.initial on the stream derived for
-    trajectory_index; deterministic."""
-    dn, th, phi = run_trajectory_arrays(config, trajectory_index)
-    return [
-        StepRecord(k, float(dn[k]), float(th[k]), BlochState(float(phi[k])))
-        for k in range(config.n_steps)
-    ]
+# perfbench's span table and layer probe call this name; ROADMAP item 8 removes it
+run_trajectory = run_trajectory_arrays
 
 
 def _slab_sums(config: RunConfig, batches) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 perfbench traces the functions in `spans.TARGETS` by name and reads a few
 constants and classes directly.  A rename or deletion there breaks the
-traced run, which only perfbench's own tests would otherwise notice.
+traced run, which only perfbench's own tests would otherwise notice.  Besides
+the hand-kept lists below, every name perfbench's modules read from a package
+module is found in their source.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 # read from the module's source: the harness itself is not imported here
 _TARGETS = next(
@@ -42,6 +45,48 @@ _READ_DIRECTLY = [
 def test_benchmark_name_resolves(layer, name):
     module = importlib.import_module(f"homodyne_feedback.{layer}")
     assert hasattr(module, name), f"perfbench uses homodyne_feedback.{layer}.{name}"
+
+
+def _module_reads(tree):
+    """(module, name) for every `from homodyne_feedback.M import NAME` in
+    tree and every `M.NAME` where M is a bound package module."""
+    reads, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "homodyne_feedback":
+            modules |= {a.asname or a.name: a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("homodyne_feedback."):
+            reads |= {(node.module.split(".")[1], a.name) for a in node.names}
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("homodyne_feedback.") and a.asname:
+                    modules[a.asname] = a.name.split(".")[1]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+# (file, module, name) read by perfbench's modules, its self-tests left out
+_SCANNED = sorted(
+    (path.name, layer, name)
+    for path in PERFBENCH.glob("*.py")
+    if not path.name.startswith("test_")
+    for layer, name in _module_reads(ast.parse(path.read_text()))
+)
+
+
+def test_scan_finds_the_harness_reads():
+    # a scan that stopped matching would pass every case below vacuously
+    files = {f for f, _, _ in _SCANNED}
+    assert {"layers.py", "facts.py", "shim.py", "traced_run.py"} <= files
+    assert ("layers.py", "engine", "run_trajectory") in _SCANNED
+
+
+@pytest.mark.parametrize("path,layer,name", _SCANNED)
+def test_scanned_benchmark_name_resolves(path, layer, name):
+    module = importlib.import_module(f"homodyne_feedback.{layer}")
+    assert hasattr(module, name), f"perfbench/{path} uses homodyne_feedback.{layer}.{name}"
 
 
 def test_fock_output_shape_read_by_perfbench():

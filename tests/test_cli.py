@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -658,6 +659,7 @@ def _unreachable(*args):
         (["figure", "--kind", "decay", "--steps", "20000000000"], "run_ensemble"),
         (["figure", "--kind", "record-histogram", "--samples", "100000000000"], "sample_records"),
         (["figure", "--kind", "record-histogram", "--bins", str(10**12)], "sample_records"),
+        (["figure", "--kind", "drift-field", "--grid", str(10**11)], "drift_field"),
     ],
 )
 def test_output_above_physical_memory_exits_2(monkeypatch, tmp_path, capsys, argv, target):
@@ -689,6 +691,25 @@ def test_dumped_trajectory_counts_toward_the_size_rule(monkeypatch, tmp_path, ca
     assert main([*argv, "--dump-trajectories", str(tmp_path / "d")]) == 2
     assert "GiB RAM" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_peak_per_step_within_size_rule(tmp_path, fmt):
+    # the size rule's cost of a statistics row holds while both formats are
+    # streamed to the file; building the whole text first took ~790 B a step
+    # as CSV and ~1,170 B as JSON
+    def peak(steps):
+        argv = ["simulate", "--steps", str(steps), "--trajectories", "20",
+                "--format", fmt, "--out", str(tmp_path / "x")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first-call allocations that later runs reuse
+    assert (peak(6000) - peak(2000)) / 4000 <= cli._ROW_BYTES
 
 
 class TestImportCost:
