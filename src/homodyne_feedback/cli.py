@@ -136,7 +136,6 @@ _RUN_SPEC = {
     "tau": (float, 1e-3),
     "alpha": (float, 100.0),
     "policy": (str, "none"),
-    "sampling": (str, "conditional"),
     "initial": (str, "excited"),
     "steps": (int, 1000),
     "trajectories": (int, 100),
@@ -158,8 +157,15 @@ CSV_HEADER = ",".join(["step", *_STATS_COLUMNS])
 
 def _run_settings(values: dict) -> dict:
     # output paths are not simulation parameters; leaving them out keeps
-    # identically-configured runs byte-identical regardless of destination
-    return {k: v for k, v in values.items() if k not in ("out", "dump-trajectories")}
+    # identically-configured runs byte-identical regardless of destination.
+    # Every simulation draws conditional records, recorded after the policy.
+    settings = {}
+    for k, v in values.items():
+        if k not in ("out", "dump-trajectories"):
+            settings[k] = v
+        if k == "policy":
+            settings["sampling"] = "conditional"
+    return settings
 
 
 def _write_csv(f, values: dict, header: str, rows) -> None:
@@ -192,7 +198,6 @@ def _run_config(values: dict) -> RunConfig:
     config = RunConfig(
         params=SimParams(values["gamma"], values["tau"], values["alpha"]),
         gain=parse_policy(values["policy"]),
-        mode=parse_sampling(values["sampling"]),
         initial=parse_initial(values["initial"]),
         n_steps=values["steps"],
         n_trajectories=values["trajectories"],
@@ -316,10 +321,8 @@ def cmd_figure(args) -> int:
         ]
         svg = drift_field_svg(fields, labels)
     elif kind == "decay":
-        # decay runs the dynamics, whose records are always conditional
         policy = "none" if values["policy"] is None else values["policy"]
-        decay = {**values, "policy": policy, "sampling": "conditional"}
-        svg = decay_svg(run_ensemble(_run_config(decay)))
+        svg = decay_svg(run_ensemble(_run_config({**values, "policy": policy})))
     else:  # record-histogram
         for key in ("samples", "bins"):
             if values[key] < 1:

@@ -3,6 +3,7 @@
 Every trajectory owns a counter-based stream derived from (seed, index), so
 ensembles are embarrassingly parallel and the aggregate is bit-identical for
 any worker count.  Ensembles run through the batched kernel `_advance`.
+Every step draws its record from the atom-conditioned `conditional_pdf`.
 
 An ensemble is cut into fixed batches of BATCH_SIZE trajectories, and each
 worker advances a slab, a run of up to SLAB_BATCHES consecutive batches, as
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import BlochState, SimParams, normalize_angle
-from .measurement import SamplingMode, record_shift
+from .measurement import record_shift
 from .streams import box_muller, raw_words, stream_key, to_unit
 
 _PI = math.pi
@@ -47,12 +48,12 @@ BATCH_SIZE = 4096
 
 # Upper bound on random words `_draws` precomputes at once per word array.
 # That is a chunk of 8 steps at BATCH_SIZE lanes and of 2 steps in a 4-batch
-# slab: each of its buffers (two word planes, three float planes, two in
-# vacuum mode) is 256 KiB, allocated once per call and refilled every chunk,
-# so they fit a 2 MiB L2 cache and a worker's memory does not grow with
-# n_steps.  Much larger chunks stream tens of MB through memory and run
-# slower.  Read at call time; chunking never changes a value, since word k
-# of a stream depends only on (key, k).
+# slab: each of its buffers (two word planes, three float planes) is 256 KiB,
+# allocated once per call and refilled every chunk, so they fit a 2 MiB L2
+# cache and a worker's memory does not grow with n_steps.  Much larger chunks
+# stream tens of MB through memory and run slower.  Read at call time;
+# chunking never changes a value, since word k of a stream depends only on
+# (key, k).
 _WORD_BUDGET = 1 << 15
 
 # Most batches a worker advances together as one lane array (a slab).  A
@@ -74,7 +75,6 @@ class RunConfig:
     # rotation is applied within the same measurement step: no feedback = 0,
     # compensation = 1, inversion = 2; other values interpolate.
     gain: float = 0.0
-    mode: SamplingMode = SamplingMode.CONDITIONAL
     initial: BlochState = field(default_factory=BlochState.excited)
     n_steps: int = 1000
     n_trajectories: int = 1
@@ -172,35 +172,32 @@ def _angle_scale(params: SimParams, g: float) -> float:
     return math.sqrt(params.gamma * params.tau) * max(abs(2.0 - g), abs(g))
 
 
-def _draws(keys, n_steps, conditional):
+def _draws(keys, n_steps):
     """Yield (k0, k1, u, z) over steps 0..n_steps-1 in chunks of at most
     _WORD_BUDGET draws per word array, the last ragged: the record uniforms
-    u (None in vacuum mode) and the normals z of steps k0..k1-1, shape
-    (k1 - k0, lanes).  A conditional step takes counters 3k (uniform) and
-    3k+1, 3k+2 (Box-Muller); a vacuum step takes 2k, 2k+1.
+    u and the normals z of steps k0..k1-1, shape (k1 - k0, lanes).  Step k
+    takes counters 3k (uniform) and 3k+1, 3k+2 (Box-Muller).
 
     Every chunk is written in place into buffers allocated once per call:
     uint64 words and their mixing scratch, and float64 Box-Muller uniforms
-    (the first plane ends up holding the normals) and, in conditional mode,
-    record uniforms.  u and z are views of them, valid until the next chunk.
+    (the first plane ends up holding the normals) and record uniforms.  u
+    and z are views of them, valid until the next chunk.
     """
     lanes = len(keys)
     chunk = max(1, min(n_steps, _WORD_BUDGET // lanes))
     words, scratch = np.empty((2, chunk, lanes), dtype=np.uint64)
-    floats = np.empty((3 if conditional else 2, chunk, lanes))
-    per_step = np.uint64(3 if conditional else 2)
-    pair = 1 if conditional else 0  # counter offset of the Box-Muller pair
+    floats = np.empty((3, chunk, lanes))
     for k0 in range(0, n_steps, chunk):
         k1 = min(n_steps, k0 + chunk)
         w, s, f = words[: k1 - k0], scratch[: k1 - k0], floats[:, : k1 - k0]
-        base = (np.arange(k0, k1, dtype=np.uint64) * per_step)[:, None]
+        base = (np.arange(k0, k1, dtype=np.uint64) * np.uint64(3))[:, None]
 
         def unit(offset, out):
             raw_words(keys, base + np.uint64(offset), out=w, scratch=s)
             return to_unit(w, out=out, scratch=w)
 
-        u = unit(0, f[2]) if conditional else None
-        z = box_muller(unit(pair, f[0]), unit(pair + 1, f[1]), out=f[0], scratch=f[1])
+        u = unit(0, f[2])
+        z = box_muller(unit(1, f[0]), unit(2, f[1]), out=f[0], scratch=f[1])
         yield k0, k1, u, z
 
 
@@ -215,7 +212,7 @@ def _batch_rows(x, out):
         out[full] = x[full * BATCH_SIZE :].sum()
 
 
-def _advance(phi, keys, params, g, conditional, n_steps):
+def _advance(phi, keys, params, g, n_steps):
     """Evolve trajectories in lockstep; return the final angles and each
     batch's per-step sums of s_x, s_x^2, s_z, s_z^2, shape
     (batches, n_steps + 1, 4) with step 0 included.
@@ -249,7 +246,7 @@ def _advance(phi, keys, params, g, conditional, n_steps):
         _batch_rows(np.multiply(sz, sz, out=tmp), sums[:, k, 3])
 
     record(0)
-    for k0, k1, u, z in _draws(keys, n_steps, conditional):
+    for k0, k1, u, z in _draws(keys, n_steps):
         # |delta_n / alpha| <= sqrt_gt + |z|.  One turn of wrapping keeps
         # phi in (-pi, pi] while |theta| <= 2 pi; only chunks whose draws
         # could rotate by more than pi check every lane.  max |z| is taken
@@ -260,13 +257,12 @@ def _advance(phi, keys, params, g, conditional, n_steps):
             # and -mu elsewhere.  The center is (u < ...) * 2 mu - mu, which
             # is exactly +-mu and needs no branch per lane.
             np.multiply(z[i], alpha, out=theta)
-            if conditional:
-                np.add(sx, 1.0, out=tmp)
-                np.multiply(tmp, 0.5, out=tmp)
-                np.less(u[i], tmp, out=mask)
-                np.multiply(mask, 2.0 * mu, out=tmp)
-                np.subtract(tmp, mu, out=tmp)
-                np.add(tmp, theta, out=theta)
+            np.add(sx, 1.0, out=tmp)
+            np.multiply(tmp, 0.5, out=tmp)
+            np.less(u[i], tmp, out=mask)
+            np.multiply(mask, 2.0 * mu, out=tmp)
+            np.subtract(tmp, mu, out=tmp)
+            np.add(tmp, theta, out=theta)
             # theta = sqrt_gt * (delta_n / alpha) * (1 + s_z - g)
             np.divide(theta, alpha, out=theta)
             np.multiply(theta, sqrt_gt, out=theta)
@@ -305,21 +301,16 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
     sqrt_gt = math.sqrt(params.gamma * params.tau)
     mu = record_shift(params)
     g = config.gain
-    conditional = config.mode is SamplingMode.CONDITIONAL
     keys = stream_key(config.seed, np.asarray([trajectory_index], dtype=np.uint64))
     sin, cos = math.sin, math.cos
 
     out = np.empty((3, config.n_steps))  # delta_n, theta, phi
     phi = config.initial.phi
     sx, sz = sin(phi), cos(phi)
-    for k0, k1, u, z in _draws(keys, config.n_steps, conditional):
-        us = u[:, 0].tolist() if conditional else None
+    for k0, k1, u, z in _draws(keys, config.n_steps):
         rows = []  # flat (delta_n, theta, phi) triples: cheap to append and convert
-        for i, zi in enumerate(z[:, 0].tolist()):
-            if conditional:
-                dn = (mu if us[i] < 0.5 * (1.0 + sx) else -mu) + alpha * zi
-            else:
-                dn = alpha * zi
+        for ui, zi in zip(u[:, 0].tolist(), z[:, 0].tolist()):
+            dn = (mu if ui < 0.5 * (1.0 + sx) else -mu) + alpha * zi
             theta = sqrt_gt * (dn / alpha) * (1.0 + sz - g)
             phi += theta
             if phi > _PI or phi <= -_PI:
@@ -341,11 +332,10 @@ def _slab_sums(config: RunConfig, batches) -> np.ndarray:
         [stream_key(config.seed, np.arange(i0, i1, dtype=np.uint64)) for i0, i1 in batches]
     )
     phi0 = np.full(len(keys), config.initial.phi)
-    conditional = config.mode is SamplingMode.CONDITIONAL
     # an overflowing alpha * z turns the sums non-finite, which run_ensemble
     # refuses; numpy's error state is per thread, so it is set here
     with np.errstate(over="ignore", invalid="ignore"):
-        _, sums = _advance(phi0, keys, config.params, config.gain, conditional, config.n_steps)
+        _, sums = _advance(phi0, keys, config.params, config.gain, config.n_steps)
     return sums
 
 

@@ -19,8 +19,8 @@ from .streams import CounterStream
 
 
 class SamplingMode(enum.Enum):
-    """Vacuum draws ignore the state (statistics tests only); Conditional is
-    the default for dynamics."""
+    """Record law of `sample_records`: dynamics always draws conditional
+    records; vacuum samples feed the record histogram."""
 
     VACUUM = "vacuum"
     CONDITIONAL = "conditional"

@@ -104,22 +104,76 @@ class TestSimulate:
 
     # sha256 of the whole dump file; a changed byte is an RNG, model or
     # format change, never an optimisation
-    DUMP_PINNED = {
-        "conditional": "3b392413be0e17c5792c4ddd8db317892b9a0742051ec7f30acfc0c59d185431",
-        "vacuum": "b12c5bc85e3931e3d36683327d70746e04e3fd450d003875b2a474abfd87aaed",
-    }
+    DUMP_PINNED = "3b392413be0e17c5792c4ddd8db317892b9a0742051ec7f30acfc0c59d185431"
 
-    @pytest.mark.parametrize("sampling", sorted(DUMP_PINNED))
-    def test_dump_trajectories_bytes_pinned(self, tmp_path, sampling):
+    def test_dump_trajectories_bytes_pinned(self, tmp_path):
         dump = tmp_path / "traj.csv"
         assert main(
             [
                 "simulate", "--policy", "custom:0.37", "--initial", "phi:0.3",
-                "--steps", "300", "--trajectories", "5", "--sampling", sampling,
+                "--steps", "300", "--trajectories", "5",
                 "--out", str(tmp_path / "ens.csv"), "--dump-trajectories", str(dump),
             ]
         ) == 0
-        assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.DUMP_PINNED[sampling]
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.DUMP_PINNED
+
+    # the same for an unfed excited atom, whose records start from a
+    # mixture weight of exactly 1/2
+    DUMP_PINNED_UNFED = "40274d13d6d34fbd761beba5a411884e64a0b090f849d6c38ae611928a262e54"
+
+    def test_dump_trajectories_bytes_pinned_unfed(self, tmp_path):
+        dump = tmp_path / "traj.csv"
+        assert main(
+            [
+                "simulate", "--policy", "none", "--initial", "excited", "--seed", "5",
+                "--steps", "120", "--trajectories", "4",
+                "--out", str(tmp_path / "ens.csv"), "--dump-trajectories", str(dump),
+            ]
+        ) == 0
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == self.DUMP_PINNED_UNFED
+
+    @pytest.mark.parametrize("sampling", ["vacuum", "conditional"])
+    def test_sampling_is_not_settable(self, tmp_path, capsys, sampling):
+        # the dynamics draw one record law, the atom-conditioned one, so
+        # even naming it is refused
+        out = tmp_path / "ens.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--sampling", sampling, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --sampling {sampling}" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"steps=5\nsampling={sampling}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}:2: unknown key 'sampling'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("target", ["csv", "json", "dump"])
+    def test_settings_record_conditional_sampling(self, tmp_path, target):
+        # one fixed entry, where the sampling flag's value used to be: the
+        # sorted CSV comments, and right after "policy" in the JSON config
+        out, dump = tmp_path / "ens.out", tmp_path / "traj.csv"
+        fmt = "json" if target == "json" else "csv"
+        assert main(
+            [
+                "simulate", "--steps", "3", "--trajectories", "2", "--format", fmt,
+                "--out", str(out), "--dump-trajectories", str(dump),
+            ]
+        ) == 0
+        if target == "json":
+            keys = list(json.loads(out.read_text())["config"])
+            assert keys[keys.index("policy") + 1] == "sampling"
+            assert json.loads(out.read_text())["config"]["sampling"] == "conditional"
+        else:
+            comments, _, _ = read_csv(dump if target == "dump" else out)
+            assert "# sampling=conditional" in comments
+            assert comments == sorted(comments)
+
+    def test_oracle_settings_name_no_sampling(self, tmp_path):
+        # the oracle draws no records, so its settings carry no sampling entry
+        out = tmp_path / "pmf.csv"
+        assert main(["oracle", "--alpha", "2", "--out", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        assert comments == ["# alpha=2.0", "# source=vacuum"]
 
     def test_unwritable_dump_exits_3(self, tmp_path):
         assert main(
@@ -550,18 +604,18 @@ class TestOutputsPinned:
     # sha256 of each output file; a changed byte is a format, model or RNG
     # change, never a refactoring
     CONFIG = (
-        "policy=custom:0.5\ninitial=phi:1.0\nsampling=vacuum\n"
+        "policy=custom:0.5\ninitial=phi:1.0\n"
         "steps=40\ntrajectories=30\nseed=11\n"
     )
     CASES = {
         "simulate-json": (
-            ["simulate", "--format", "json", "--sampling", "vacuum", "--policy", "compensate",
+            ["simulate", "--format", "json", "--policy", "compensate",
              "--steps", "40", "--trajectories", "30", "--seed", "4"],
-            "c64a9cf7f2cbcd091d2ddea0459e58443d69bb515e549f7031f5d179531c4947",
+            "a2a02b37ee7833040fca12a18f50b0d5cceefd1765f19a1970de36bb054292d2",
         ),
         "simulate-config": (
             ["simulate", "--config", "{cfg}", "--trajectories", "25"],
-            "1b9e6b9e9fcbc7967fd32b950c664530258cc686cd9b1fbf925db2533bd38262",
+            "ef662ede720c3f40747931c71ff811c00987e6a23e7c66a9eb706ffb694b542a",
         ),
         "drift-field": (
             ["figure", "--kind", "drift-field"],

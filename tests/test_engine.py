@@ -25,7 +25,6 @@ PARAMS = SimParams(gamma=1.0, tau=1e-3, alpha=100.0)
 def make_config(**kw):
     base = dict(
         params=PARAMS,
-        mode=SamplingMode.CONDITIONAL,
         initial=BlochState.excited(),
         n_steps=100,
         n_trajectories=4,
@@ -44,7 +43,6 @@ def kernel(config, n_lanes):
         keys,
         config.params,
         config.gain,
-        config.mode is SamplingMode.CONDITIONAL,
         config.n_steps,
     )
     return final, sums
@@ -64,15 +62,18 @@ def history_sums(initial_phi, phi):
 # 0.1, whose steps reach |theta| > 2 pi and need the full wrap
 STEPPER_CASES = [(1e-3, g) for g in (0.0, 1.0, 2.0, 0.37)] + [(0.1, 10.0), (0.1, -10.0)]
 
+# starting angles on either side of s_x = 0, so the record's mixture weight
+# 0.5*(1 + s_x) starts above 1/2 in one and below it in the other
+STEPPER_PHI0 = [0.3, -2.5]
 
-def stepper_config(mode, gamma_tau, g, n_steps, seed=9):
+
+def stepper_config(gamma_tau, g, n_steps, phi0=0.3, seed=9):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the large-angle cases warn
         return make_config(
             params=SimParams(gamma=1.0, tau=gamma_tau, alpha=100.0),
             gain=g,
-            mode=mode,
-            initial=BlochState(0.3),
+            initial=BlochState(phi0),
             n_steps=n_steps,
             seed=seed,
         )
@@ -98,18 +99,18 @@ class TestStep:
 
     @pytest.mark.parametrize("n_steps", [1, 7, 300])
     @pytest.mark.parametrize("gamma_tau,g", STEPPER_CASES)
-    @pytest.mark.parametrize("mode", list(SamplingMode))
-    def test_final_angle_matches_every_kernel_lane(self, mode, gamma_tau, g, n_steps):
-        config = stepper_config(mode, gamma_tau, g, n_steps)
+    @pytest.mark.parametrize("phi0", STEPPER_PHI0)
+    def test_final_angle_matches_every_kernel_lane(self, phi0, gamma_tau, g, n_steps):
+        config = stepper_config(gamma_tau, g, n_steps, phi0)
         final, _ = kernel(config, 37)
         scalar = [run_trajectory_arrays(config, i)[2][-1] for i in range(37)]
         assert np.array_equal(final, scalar)
 
     @pytest.mark.parametrize("gamma_tau,g", STEPPER_CASES)
-    @pytest.mark.parametrize("mode", list(SamplingMode))
-    def test_one_lane_sums_match_scalar_history(self, mode, gamma_tau, g):
+    @pytest.mark.parametrize("phi0", STEPPER_PHI0)
+    def test_one_lane_sums_match_scalar_history(self, phi0, gamma_tau, g):
         # a one-lane sum is the lane's own value, so every step is compared
-        config = stepper_config(mode, gamma_tau, g, 300)
+        config = stepper_config(gamma_tau, g, 300, phi0)
         final, sums = kernel(config, 1)
         _, _, phi = run_trajectory_arrays(config, 0)
         assert final[0] == phi[-1]
@@ -169,22 +170,22 @@ class TestDeriveStream:
             run_trajectory_arrays(config, 0)[0], run_trajectory_arrays(config, 1)[0]
         )
 
-    def test_reproducible(self):
+    @pytest.mark.parametrize(
+        "g,initial",
+        [(0.0, BlochState.excited()), (0.37, BlochState(0.3)), (2.0, BlochState(-2.5))],
+    )
+    def test_reproducible(self, g, initial):
         alpha = PARAMS.alpha
         mu = math.sqrt(PARAMS.gamma * PARAMS.tau) * alpha
-        for mode in SamplingMode:
-            config = make_config(mode=mode, n_steps=50, seed=42)
-            dn, _, phi = run_trajectory_arrays(config, 7)
-            rng = CounterStream(42, 7)
-            sx = math.sin(config.initial.phi)
-            for k in range(config.n_steps):
-                if mode is SamplingMode.VACUUM:
-                    expected = alpha * rng.standard_normal()
-                else:  # one uniform, then one normal
-                    center = mu if rng.uniform() < 0.5 * (1.0 + sx) else -mu
-                    expected = center + alpha * rng.standard_normal()
-                assert dn[k] == expected, (mode, k)
-                sx = math.sin(phi[k])
+        config = make_config(gain=g, initial=initial, n_steps=50, seed=42)
+        dn, _, phi = run_trajectory_arrays(config, 7)
+        rng = CounterStream(42, 7)
+        sx = math.sin(config.initial.phi)
+        for k in range(config.n_steps):
+            # one uniform, then one normal
+            center = mu if rng.uniform() < 0.5 * (1.0 + sx) else -mu
+            assert dn[k] == center + alpha * rng.standard_normal(), k
+            sx = math.sin(phi[k])
 
 
 class TestRunEnsemble:
@@ -320,23 +321,32 @@ class TestRunEnsemble:
             assert np.array_equal(getattr(results["10000"], name), getattr(results["1"], name))
 
     # sha256 of the float64 bytes of mean, var and stderr (s_x, s_z each)
-    PINNED = {
-        SamplingMode.VACUUM: "2b9089741b077bc9f0a31be187c67257b6594f3545c337ed41102862e1c8748f",
-        SamplingMode.CONDITIONAL: "13208a33268eba22ad135c07b8219784db1ca913e6f7909afa30ba630031f820",
-    }
+    PINNED = "13208a33268eba22ad135c07b8219784db1ca913e6f7909afa30ba630031f820"
 
-    @pytest.mark.parametrize("mode", list(SamplingMode))
-    def test_output_bits_pinned(self, mode):
+    def test_output_bits_pinned(self):
         # two full batches plus a ragged one; a changed bit is an RNG or
         # model change, never an optimisation
+        config = make_config(n_steps=40, n_trajectories=2 * engine.BATCH_SIZE + 123, seed=11)
+        res = run_ensemble(config)
+        h = hashlib.sha256()
+        for name in MOMENTS:
+            h.update(np.ascontiguousarray(getattr(res, name), dtype=np.float64).tobytes())
+        assert h.hexdigest() == self.PINNED
+
+    # the same for custom:0.37 from phi = 0.3, where the feedback term and
+    # an off-axis start enter every step's arithmetic
+    PINNED_FED = "df638b6c427f30094358bc3c7ec2dbcd156dd9548e80cbc958202f3c9629da06"
+
+    def test_output_bits_pinned_fed(self):
         config = make_config(
-            mode=mode, n_steps=40, n_trajectories=2 * engine.BATCH_SIZE + 123, seed=11
+            gain=0.37, initial=BlochState(0.3), n_steps=40,
+            n_trajectories=2 * engine.BATCH_SIZE + 123, seed=11,
         )
         res = run_ensemble(config)
         h = hashlib.sha256()
         for name in MOMENTS:
             h.update(np.ascontiguousarray(getattr(res, name), dtype=np.float64).tobytes())
-        assert h.hexdigest() == self.PINNED[mode]
+        assert h.hexdigest() == self.PINNED_FED
 
     def test_per_step_angle_variance(self):
         # Var(theta) = gamma*tau*(1+s_z-g)^2*(1+gamma*tau*(1-s_x^2))
@@ -372,15 +382,17 @@ class TestRunEnsemble:
 
 
 class TestChunking:
-    @pytest.mark.parametrize("g", [0.0, 1.0, 2.0, 0.37])
-    @pytest.mark.parametrize("conditional", [True, False])
-    def test_chunk_size_does_not_change_outputs(self, monkeypatch, conditional, g):
+    @pytest.mark.parametrize("gamma_tau,g", STEPPER_CASES)
+    def test_chunk_size_does_not_change_outputs(self, monkeypatch, gamma_tau, g):
         n, steps = engine.BATCH_SIZE, 40
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the large-angle cases warn
+            params = SimParams(gamma=1.0, tau=gamma_tau, alpha=100.0)
         keys = stream_key(8, np.arange(n, dtype=np.uint64))
         phi0 = np.linspace(-math.pi, math.pi, n)
 
         def run():
-            return engine._advance(phi0, keys, PARAMS, g, conditional, steps)
+            return engine._advance(phi0, keys, params, g, steps)
 
         reference = run()  # 8-step chunks at BATCH_SIZE lanes
         # 1-step chunks, ragged 7-step chunks (40 = 5 * 7 + 5), one chunk
@@ -390,8 +402,7 @@ class TestChunking:
                 assert np.array_equal(got, want), budget
 
     @pytest.mark.parametrize("gamma_tau,g", STEPPER_CASES)
-    @pytest.mark.parametrize("conditional", [True, False])
-    def test_slab_width_does_not_change_batch_sums(self, conditional, gamma_tau, g):
+    def test_slab_width_does_not_change_batch_sums(self, gamma_tau, g):
         # one slab of three full batches and a ragged one, against each
         # batch advanced alone; custom:+-10 at gamma*tau = 0.1 takes the
         # full-wrap path
@@ -401,13 +412,11 @@ class TestChunking:
             params = SimParams(gamma=1.0, tau=gamma_tau, alpha=100.0)
         keys = stream_key(8, np.arange(n, dtype=np.uint64))
         phi0 = np.linspace(-math.pi, math.pi, n)
-        final, sums = engine._advance(phi0, keys, params, g, conditional, steps)
+        final, sums = engine._advance(phi0, keys, params, g, steps)
         assert sums.shape == (4, steps + 1, 4)
         for b, i0 in enumerate(range(0, n, engine.BATCH_SIZE)):
             lanes = slice(i0, i0 + engine.BATCH_SIZE)
-            alone, (batch,) = engine._advance(
-                phi0[lanes], keys[lanes], params, g, conditional, steps
-            )
+            alone, (batch,) = engine._advance(phi0[lanes], keys[lanes], params, g, steps)
             assert np.array_equal(final[lanes], alone), b
             assert np.array_equal(sums[b], batch), b
             # the first and last rows against the batch's own 1-D sums
@@ -418,48 +427,53 @@ class TestChunking:
 
 
 class TestBufferedDraws:
-    @pytest.mark.parametrize("conditional", [True, False])
-    def test_buffers_match_allocating_path_and_scalar_streams(self, monkeypatch, conditional):
-        # lanes not a multiple of BATCH_SIZE; a 5-step chunk, then a ragged
-        # 3-step chunk drawn into the same buffers
+    # (word budget in steps of lanes, the chunks 8 steps are drawn in):
+    # one step a chunk, a ragged last chunk, and a budget past n_steps
+    CHUNKINGS = [
+        (1, [(k, k + 1) for k in range(8)]),
+        (3, [(0, 3), (3, 6), (6, 8)]),
+        (5, [(0, 5), (5, 8)]),
+        (100, [(0, 8)]),
+    ]
+
+    @pytest.mark.parametrize("budget,expected", CHUNKINGS)
+    def test_buffers_match_allocating_path_and_scalar_streams(
+        self, monkeypatch, budget, expected
+    ):
+        # lanes not a multiple of BATCH_SIZE; every chunk is drawn into the
+        # same buffers
         n, seed, steps = engine.BATCH_SIZE + 37, 4, 8
-        monkeypatch.setattr(engine, "_WORD_BUDGET", 5 * n)
+        monkeypatch.setattr(engine, "_WORD_BUDGET", budget * n)
         keys = stream_key(seed, np.arange(n, dtype=np.uint64))
         chunks = []
-        for k0, k1, u, z in engine._draws(keys, steps, conditional):
+        for k0, k1, u, z in engine._draws(keys, steps):
             chunks.append((k0, k1))
             assert z.shape == (k1 - k0, n)
             if k0 == 0:
                 first_z = z
             assert np.shares_memory(z, first_z)  # one allocation per call
-            self._check_chunk(keys, seed, k0, k1, u, z, conditional)
-        assert chunks == [(0, 5), (5, 8)]
-        assert list(engine._draws(keys, 0, conditional)) == []
+            self._check_chunk(keys, seed, k0, k1, u, z)
+        assert chunks == expected
+        assert list(engine._draws(keys, 0)) == []
 
     @staticmethod
-    def _check_chunk(keys, seed, k0, k1, u, z, conditional):
+    def _check_chunk(keys, seed, k0, k1, u, z):
         """The chunk against the allocating raw_words/to_unit/box_muller
         path and against each sampled lane's stream consumed one value at a
         time."""
-        per_step = 3 if conditional else 2
-        base = (np.arange(k0, k1, dtype=np.uint64) * np.uint64(per_step))[:, None]
+        base = (np.arange(k0, k1, dtype=np.uint64) * np.uint64(3))[:, None]
 
         def unit(offset):
             return to_unit(raw_words(keys, base + np.uint64(offset)))
 
-        pair = 1 if conditional else 0
-        assert np.array_equal(z, box_muller(unit(pair), unit(pair + 1)))
-        if conditional:
-            assert u.shape == z.shape and np.array_equal(u, unit(0))
-        else:
-            assert u is None
+        assert np.array_equal(z, box_muller(unit(1), unit(2)))
+        assert u.shape == z.shape and np.array_equal(u, unit(0))
         n = len(keys)
         for j in (0, engine.BATCH_SIZE - 1, engine.BATCH_SIZE, n - 1):
             stream = CounterStream(seed, j)
-            stream.uniform(k0 * per_step)  # the counters of steps 0..k0-1
+            stream.uniform(3 * k0)  # the counters of steps 0..k0-1
             for i in range(k1 - k0):
-                if conditional:
-                    assert u[i, j] == stream.uniform(), (i, j)
+                assert u[i, j] == stream.uniform(), (i, j)
                 assert z[i, j] == stream.standard_normal(), (i, j)
 
     def test_advance_does_not_fault_per_chunk(self):
@@ -471,9 +485,9 @@ class TestBufferedDraws:
         n = 4 * engine.BATCH_SIZE
         keys = stream_key(1, np.arange(n, dtype=np.uint64))
         phi0 = np.zeros(n)
-        engine._advance(phi0, keys, PARAMS, 0.0, True, 20)
+        engine._advance(phi0, keys, PARAMS, 0.0, 20)
         before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
-        engine._advance(phi0, keys, PARAMS, 0.0, True, 200)
+        engine._advance(phi0, keys, PARAMS, 0.0, 200)
         faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
         assert faults < 2000
 
