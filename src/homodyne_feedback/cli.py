@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -181,7 +182,10 @@ def _write_csv(f, values: dict, header: str, rows) -> None:
 # peak between 1,000 and 41,000 steps (10 trajectories): 313 B a step as
 # CSV and 314 B as JSON, both streamed to the file.  A drift-field grid
 # point costs 347 B a panel, the same slope of `figure --kind drift-field`.
-_RECORD_BYTES, _BIN_BYTES, _SUM_BYTES, _ROW_BYTES, _DUMP_BYTES = 56, 410, 8, 315, 78
+# A record costs 8.3 B, the slope of `figure --kind record-histogram`
+# between 100,000 and 2,100,000 samples of either law: the records
+# themselves, since the sampler draws in the generator's fixed chunks.
+_RECORD_BYTES, _BIN_BYTES, _SUM_BYTES, _ROW_BYTES, _DUMP_BYTES = 9, 410, 8, 315, 78
 _GRID_BYTES = 348
 
 
@@ -331,6 +335,12 @@ def cmd_figure(args) -> int:
         _check_fits(f"{values['samples']} records in {values['bins']} bins", nbytes)
         state = parse_initial(values["initial"])
         mode = parse_sampling(values["sampling"])
+        # the bins span +-5 alpha; a finite width 10 alpha also bounds every
+        # record, +-mu + alpha*z with mu < alpha and |z| < 9, so none overflows
+        if not math.isfinite(10.0 * params.alpha):
+            raise ValueError(
+                f"non-finite histogram range: alpha = {params.alpha:g} overflows float64"
+            )
         rng = CounterStream(values["seed"], 0)
         records = sample_records(state, params, mode, rng, values["samples"])
         svg = histogram_svg(records, values["bins"], params.alpha)

@@ -9,9 +9,9 @@ An ensemble is cut into fixed batches of BATCH_SIZE trajectories, and each
 worker advances a slab, a run of up to SLAB_BATCHES consecutive batches, as
 one wide lane array.  Every per-step operation writes into a workspace the
 kernel allocates once per slab.  The random draws come from one generator,
-`_draws`, which sizes the chunks, lays out the counters and fills buffers
-it allocates once per slab, so the kernel allocates no lane array per step
-or per chunk.  The kernel keeps one
+`streams.draws`, which sizes the chunks, lays out the counters and fills
+buffers it allocates once per slab, so the kernel allocates no lane array
+per step or per chunk.  The kernel keeps one
 set of per-step sums per batch: the row sums of a (batches, BATCH_SIZE) view
 of each lane array, with a ragged last batch summed as its own slice.  Each
 is the same pairwise sum over the same lanes as that batch's own 1-D
@@ -37,7 +37,7 @@ import numpy as np
 
 from .bloch import BlochState, SimParams, normalize_angle
 from .measurement import record_shift
-from .streams import box_muller, raw_words, stream_key, to_unit
+from .streams import _WORD_BUDGET, draws, stream_key
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -45,16 +45,6 @@ _TWO_PI = 2.0 * math.pi
 # Trajectories per work unit; fixed so batch boundaries (and therefore the
 # reduction) do not depend on the worker count.
 BATCH_SIZE = 4096
-
-# Upper bound on random words `_draws` precomputes at once per word array.
-# That is a chunk of 8 steps at BATCH_SIZE lanes and of 2 steps in a 4-batch
-# slab: each of its buffers (two word planes, three float planes) is 256 KiB,
-# allocated once per call and refilled every chunk, so they fit a 2 MiB L2
-# cache and a worker's memory does not grow with n_steps.  Much larger chunks
-# stream tens of MB through memory and run slower.  Read at call time;
-# chunking never changes a value, since word k of a stream depends only on
-# (key, k).
-_WORD_BUDGET = 1 << 15
 
 # Most batches a worker advances together as one lane array (a slab).  A
 # 4-batch slab makes a quarter of the numpy calls, and hands the interpreter
@@ -172,35 +162,6 @@ def _angle_scale(params: SimParams, g: float) -> float:
     return math.sqrt(params.gamma * params.tau) * max(abs(2.0 - g), abs(g))
 
 
-def _draws(keys, n_steps):
-    """Yield (k0, k1, u, z) over steps 0..n_steps-1 in chunks of at most
-    _WORD_BUDGET draws per word array, the last ragged: the record uniforms
-    u and the normals z of steps k0..k1-1, shape (k1 - k0, lanes).  Step k
-    takes counters 3k (uniform) and 3k+1, 3k+2 (Box-Muller).
-
-    Every chunk is written in place into buffers allocated once per call:
-    uint64 words and their mixing scratch, and float64 Box-Muller uniforms
-    (the first plane ends up holding the normals) and record uniforms.  u
-    and z are views of them, valid until the next chunk.
-    """
-    lanes = len(keys)
-    chunk = max(1, min(n_steps, _WORD_BUDGET // lanes))
-    words, scratch = np.empty((2, chunk, lanes), dtype=np.uint64)
-    floats = np.empty((3, chunk, lanes))
-    for k0 in range(0, n_steps, chunk):
-        k1 = min(n_steps, k0 + chunk)
-        w, s, f = words[: k1 - k0], scratch[: k1 - k0], floats[:, : k1 - k0]
-        base = (np.arange(k0, k1, dtype=np.uint64) * np.uint64(3))[:, None]
-
-        def unit(offset, out):
-            raw_words(keys, base + np.uint64(offset), out=w, scratch=s)
-            return to_unit(w, out=out, scratch=w)
-
-        u = unit(0, f[2])
-        z = box_muller(unit(1, f[0]), unit(2, f[1]), out=f[0], scratch=f[1])
-        yield k0, k1, u, z
-
-
 def _batch_rows(x, out):
     """Each batch's sum of the lane array x into out (one entry a batch):
     row sums of the full batches, then a ragged last batch as its own slice,
@@ -220,7 +181,7 @@ def _advance(phi, keys, params, g, n_steps):
     phi: (n,) float64 angles; keys: (n,) uint64 stream keys.  Lanes
     b*BATCH_SIZE .. (b+1)*BATCH_SIZE - 1 are batch b; the last may be
     ragged.  Every per-step operation writes with `out=` into a workspace
-    allocated once per call, and `_draws` fills buffers of its own, so
+    allocated once per call, and `streams.draws` fills buffers of its own, so
     neither a step nor a chunk allocates a lane array.
     """
     phi = np.array(phi, dtype=np.float64, copy=True)
@@ -246,7 +207,7 @@ def _advance(phi, keys, params, g, n_steps):
         _batch_rows(np.multiply(sz, sz, out=tmp), sums[:, k, 3])
 
     record(0)
-    for k0, k1, u, z in _draws(keys, n_steps):
+    for k0, k1, u, z in draws(keys, n_steps):
         # |delta_n / alpha| <= sqrt_gt + |z|.  One turn of wrapping keeps
         # phi in (-pi, pi] while |theta| <= 2 pi; only chunks whose draws
         # could rotate by more than pi check every lane.  max |z| is taken
@@ -307,7 +268,7 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
     out = np.empty((3, config.n_steps))  # delta_n, theta, phi
     phi = config.initial.phi
     sx, sz = sin(phi), cos(phi)
-    for k0, k1, u, z in _draws(keys, config.n_steps):
+    for k0, k1, u, z in draws(keys, config.n_steps):
         rows = []  # flat (delta_n, theta, phi) triples: cheap to append and convert
         for ui, zi in zip(u[:, 0].tolist(), z[:, 0].tolist()):
             dn = (mu if ui < 0.5 * (1.0 + sx) else -mu) + alpha * zi
@@ -321,7 +282,9 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
     return out[0], out[1], out[2]
 
 
-# perfbench's span table and layer probe call this name; ROADMAP item 8 removes it
+# perfbench's span table and layer probe call this name, and its facts read
+# _WORD_BUDGET here, imported from streams only for them; ROADMAP item 8
+# removes both
 run_trajectory = run_trajectory_arrays
 
 

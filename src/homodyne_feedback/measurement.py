@@ -4,7 +4,10 @@ The vacuum model is the weak-field Gaussian of width |alpha|.  The
 conditional model is a two-component Gaussian mixture centered at
 +/- sqrt(gamma*tau)*|alpha| with dipole-eigenstate weights (1 +/- s_x)/2:
 it reduces to the vacuum Gaussian as gamma*tau -> 0 and makes positive
-records more likely for s_x = +1.
+records more likely for s_x = +1.  `sample_records` draws record i from step
+i of its stream through `streams.draws`, the generator the dynamics use, so
+both laws share their normals and a conditional sample at a stationary state
+is the record that trajectory draws.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import numpy as np
 
 from .bloch import BlochState, SimParams
-from .streams import CounterStream
+from .streams import CounterStream, draws
 
 
 class SamplingMode(enum.Enum):
@@ -62,14 +65,20 @@ def sample_records(
     rng: CounterStream,
     size: int,
 ) -> np.ndarray:
-    """Vectorized i.i.d. draws from the mode's distribution at a fixed state."""
-    if mode is SamplingMode.VACUUM:
-        return params.alpha * rng.standard_normal(size)
-    u = rng.uniform(size)
-    z = rng.standard_normal(size)
+    """i.i.d. draws from the mode's distribution at a fixed state: record i
+    takes step i's draws (u, z) of rng's stream, as a trajectory's step i
+    does.  A vacuum record is alpha*z; a conditional one is +-mu + alpha*z,
+    with +mu where u < (1 + s_x) / 2."""
+    if size < 0:
+        raise ValueError(f"sample size must be >= 0, got {size}")
+    out = np.empty(size)
     mu = record_shift(params)
-    center = np.where(u < 0.5 * (1.0 + state.s_x), mu, -mu)
-    return center + params.alpha * z
+    weight = 0.5 * (1.0 + state.s_x)
+    for k0, k1, u, z in draws(np.reshape(rng.key, 1), size):
+        records = np.multiply(z[:, 0], params.alpha, out=out[k0:k1])
+        if mode is SamplingMode.CONDITIONAL:
+            records += np.where(u[:, 0] < weight, mu, -mu)
+    return out
 
 
 def bayes_dipole_update(

@@ -2,10 +2,11 @@
 
 Each stream is addressed by (seed, stream index) and produces its k-th output
 as a pure function of (seed, index, k) via a splitmix64-style finalizer.
-Streams for distinct indices are statistically independent, and the same
-draws are obtained whether a stream is consumed scalar-by-scalar or in
-vectorized blocks, which is what makes serial and batched trajectory
-evolution bit-identical.
+Streams for distinct indices are statistically independent.  One generator,
+`draws`, lays the words out in steps: step k of a stream takes counter 3k
+for a uniform and 3k+1, 3k+2 for a Box-Muller pair.  The kernel, the scalar
+stepper and `measurement.sample_records` all draw through it, so a record
+sample at a stationary state is that trajectory's record at the same step.
 """
 
 from __future__ import annotations
@@ -80,32 +81,49 @@ def box_muller(u1: np.ndarray, u2: np.ndarray, out=None, scratch=None) -> np.nda
     return r
 
 
-class CounterStream:
-    """A single random stream with an explicit consumption counter.
+# Upper bound on random words `draws` precomputes at once per word array.
+# That is a chunk of 8 steps at 4096 lanes (one engine batch) and of 2 steps
+# in a 4-batch slab: each of its buffers (two word planes, three float
+# planes) is 256 KiB, allocated once per call and refilled every chunk, so
+# they fit a 2 MiB L2 cache and a worker's memory does not grow with n_steps.
+# Much larger chunks stream tens of MB through memory and run slower.  Read
+# at call time; chunking never changes a value, since word k of a stream
+# depends only on (key, k).
+_WORD_BUDGET = 1 << 15
 
-    `uniform` consumes one counter per value, `standard_normal` two.
+
+def draws(keys, n_steps):
+    """Yield (k0, k1, u, z) over steps 0..n_steps-1 in chunks of at most
+    _WORD_BUDGET draws per word array, the last ragged: the uniforms u and
+    the normals z of steps k0..k1-1, shape (k1 - k0, lanes), one lane per
+    key.  Step k takes counters 3k (uniform) and 3k+1, 3k+2 (Box-Muller).
+
+    Every chunk is written in place into buffers allocated once per call:
+    uint64 words and their mixing scratch, and float64 Box-Muller uniforms
+    (the first plane ends up holding the normals) and uniforms.  u and z are
+    views of them, valid until the next chunk.
     """
+    lanes = len(keys)
+    chunk = max(1, min(n_steps, _WORD_BUDGET // lanes))
+    words, scratch = np.empty((2, chunk, lanes), dtype=np.uint64)
+    floats = np.empty((3, chunk, lanes))
+    for k0 in range(0, n_steps, chunk):
+        k1 = min(n_steps, k0 + chunk)
+        w, s, f = words[: k1 - k0], scratch[: k1 - k0], floats[:, : k1 - k0]
+        base = (np.arange(k0, k1, dtype=np.uint64) * np.uint64(3))[:, None]
+
+        def unit(offset, out):
+            raw_words(keys, base + np.uint64(offset), out=w, scratch=s)
+            return to_unit(w, out=out, scratch=w)
+
+        u = unit(0, f[2])
+        z = box_muller(unit(1, f[0]), unit(2, f[1]), out=f[0], scratch=f[1])
+        yield k0, k1, u, z
+
+
+class CounterStream:
+    """Names one stream, (seed, index), for `measurement.sample_records`;
+    its key is all it holds, and `draws` lays out its counters."""
 
     def __init__(self, seed: int, index: int = 0):
         self.key = stream_key(seed, index)
-        self.counter = 0
-
-    def _take(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError(f"draw size must be >= 0, got {n}")
-        c = np.arange(self.counter, self.counter + n, dtype=np.uint64)
-        self.counter += n
-        return raw_words(self.key, c)
-
-    def uniform(self, size=None):
-        if size is None:
-            return float(to_unit(self._take(1))[0])
-        return to_unit(self._take(int(size)))
-
-    def standard_normal(self, size=None):
-        n = 1 if size is None else int(size)
-        w = self._take(2 * n)
-        z = box_muller(to_unit(w[0::2]), to_unit(w[1::2]))
-        if size is None:
-            return float(z[0])
-        return z

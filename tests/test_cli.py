@@ -571,8 +571,8 @@ class TestFigure:
             # times the axis span, overflows
             ("1.7e307", "2", "plot x axis [-8.5e+307, 8.5e+307] overflows float64"),
             ("1e305", "2", "plot x axis [-5e+305, 5e+305] overflows float64"),
-            ("1e-307", "2", "plot y axis [0, 1.26e+306] overflows float64"),
-            ("2e-308", "2", "plot y axis [0, 6.3e+306] overflows float64"),
+            ("1e-307", "2", "plot y axis [0, 1.05e+306] overflows float64"),
+            ("2e-308", "2", "plot y axis [0, 5.25e+306] overflows float64"),
         ],
     )
     def test_overflowing_histogram_range_exits_2(self, tmp_path, capsys, alpha, bins, message):
@@ -588,6 +588,18 @@ class TestFigure:
             assert not out.exists()
         else:
             assert 'class="bin"' in out.read_text()
+
+    def test_overflowing_histogram_range_refused_before_sampling(self, tmp_path, capsys):
+        # among 1000 records at alpha = 1e308 some alpha*z overflow (|z| >
+        # 1.8), and numpy's overflow warning fails the test: the range is
+        # refused before any record is drawn
+        out = tmp_path / "x.svg"
+        argv = ["--alpha", "1e308", "--samples", "1000", "--bins", "100", "--out", str(out)]
+        assert main(["figure", "--kind", "record-histogram", *argv]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite histogram range: alpha = 1e+308 overflows float64"
+        ]
+        assert not out.exists()
 
     def test_overflowing_decay_time_axis_exits_2(self, tmp_path, capsys):
         # gamma tau = 0.01 is a valid step, but 550 pixels times the 1e306 run length overflow
@@ -637,12 +649,12 @@ class TestOutputsPinned:
         "record-histogram": (
             ["figure", "--kind", "record-histogram", "--samples", "3000", "--bins", "40",
              "--seed", "9"],
-            "0cfa79842013ec748b8ab275fabe7e8bc2f853d1142b1fb7698652b0395c5cc6",
+            "72afae442635e511985e18b5d4c1d9177205ff0d3bc989b7f79e4bd13a18dddf",
         ),
         "record-histogram-conditional": (
             ["figure", "--kind", "record-histogram", "--sampling", "conditional",
              "--initial", "dipole+", "--samples", "3000", "--seed", "9"],
-            "b67202d42998801209c51881f6f39c06fde746ee1a6d09a40983dd16d5b3f6bc",
+            "fd1c80ccd29440c19739ce3f0d175f6810518b57ee695707fab8511ca3a61a6f",
         ),
     }
 
@@ -764,6 +776,28 @@ def test_simulate_peak_per_step_within_size_rule(tmp_path, fmt):
 
     peak(10)  # first-call allocations that later runs reuse
     assert (peak(6000) - peak(2000)) / 4000 <= cli._ROW_BYTES
+
+
+@pytest.mark.parametrize("sampling", ["vacuum", "conditional"])
+def test_record_histogram_peak_per_sample_within_size_rule(tmp_path, sampling):
+    # the size rule's cost of a record holds; the records are the one array
+    # that grows with --samples, since the sampler draws in the generator's
+    # fixed chunks (separate uniform, normal and centre arrays took ~48 B a
+    # vacuum and ~56 B a conditional sample)
+    def peak(samples):
+        argv = ["figure", "--kind", "record-histogram", "--sampling", sampling,
+                "--samples", str(samples), "--out", str(tmp_path / "x.svg")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first-call allocations that later runs reuse
+    per_sample = (peak(1_100_000) - peak(100_000)) / 1_000_000
+    assert per_sample <= cli._RECORD_BYTES
+    assert per_sample < 2 * np.dtype(np.float64).itemsize
 
 
 class TestImportCost:

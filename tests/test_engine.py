@@ -16,7 +16,7 @@ from homodyne_feedback import (
     run_ensemble,
     run_trajectory_arrays,
 )
-from homodyne_feedback import engine
+from homodyne_feedback import engine, streams
 from homodyne_feedback.streams import box_muller, raw_words, stream_key, to_unit
 
 PARAMS = SimParams(gamma=1.0, tau=1e-3, alpha=100.0)
@@ -49,6 +49,16 @@ def kernel(config, n_lanes):
 
 
 MOMENTS = ("mean_sx", "mean_sz", "var_sx", "var_sz", "stderr_sx", "stderr_sz")
+
+
+def scalar_draw(key, k):
+    """Step k's uniform and normal of the stream with this key, each word
+    taken alone at its counter: 3k, then 3k+1 and 3k+2 for Box-Muller."""
+
+    def unit(c):
+        return to_unit(raw_words(key, np.asarray([c], dtype=np.uint64)))
+
+    return unit(3 * k)[0], box_muller(unit(3 * k + 1), unit(3 * k + 2))[0]
 
 
 def history_sums(initial_phi, phi):
@@ -161,8 +171,8 @@ class TestRunTrajectory:
 
 
 class TestDeriveStream:
-    """Each trajectory draws from CounterStream(seed, index), in the counter
-    layout the kernel documents."""
+    """Each trajectory draws from stream (seed, index), in the counter layout
+    `streams.draws` documents."""
 
     def test_distinct_streams(self):
         config = make_config(n_steps=20, seed=42)
@@ -179,12 +189,12 @@ class TestDeriveStream:
         mu = math.sqrt(PARAMS.gamma * PARAMS.tau) * alpha
         config = make_config(gain=g, initial=initial, n_steps=50, seed=42)
         dn, _, phi = run_trajectory_arrays(config, 7)
-        rng = CounterStream(42, 7)
+        key = stream_key(42, 7)
         sx = math.sin(config.initial.phi)
         for k in range(config.n_steps):
-            # one uniform, then one normal
-            center = mu if rng.uniform() < 0.5 * (1.0 + sx) else -mu
-            assert dn[k] == center + alpha * rng.standard_normal(), k
+            u, z = scalar_draw(key, k)
+            center = mu if u < 0.5 * (1.0 + sx) else -mu
+            assert dn[k] == center + alpha * z, k
             sx = math.sin(phi[k])
 
 
@@ -391,14 +401,26 @@ class TestChunking:
         keys = stream_key(8, np.arange(n, dtype=np.uint64))
         phi0 = np.linspace(-math.pi, math.pi, n)
 
-        def run():
-            return engine._advance(phi0, keys, params, g, steps)
+        chunks = []
 
-        reference = run()  # 8-step chunks at BATCH_SIZE lanes
+        def counted(keys, n_steps):
+            for chunk in streams.draws(keys, n_steps):
+                chunks.append(chunk[:2])
+                yield chunk
+
+        monkeypatch.setattr(engine, "draws", counted)
+
+        def run(expected_chunks):
+            chunks.clear()
+            got = engine._advance(phi0, keys, params, g, steps)
+            assert len(chunks) == expected_chunks
+            return got
+
+        reference = run(5)  # 8-step chunks at BATCH_SIZE lanes
         # 1-step chunks, ragged 7-step chunks (40 = 5 * 7 + 5), one chunk
-        for budget in (n, 7 * n, steps * n):
-            monkeypatch.setattr(engine, "_WORD_BUDGET", budget)
-            for got, want in zip(run(), reference):
+        for budget, expected_chunks in ((n, 40), (7 * n, 6), (steps * n, 1)):
+            monkeypatch.setattr(streams, "_WORD_BUDGET", budget)
+            for got, want in zip(run(expected_chunks), reference):
                 assert np.array_equal(got, want), budget
 
     @pytest.mark.parametrize("gamma_tau,g", STEPPER_CASES)
@@ -443,10 +465,10 @@ class TestBufferedDraws:
         # lanes not a multiple of BATCH_SIZE; every chunk is drawn into the
         # same buffers
         n, seed, steps = engine.BATCH_SIZE + 37, 4, 8
-        monkeypatch.setattr(engine, "_WORD_BUDGET", budget * n)
+        monkeypatch.setattr(streams, "_WORD_BUDGET", budget * n)
         keys = stream_key(seed, np.arange(n, dtype=np.uint64))
         chunks = []
-        for k0, k1, u, z in engine._draws(keys, steps):
+        for k0, k1, u, z in streams.draws(keys, steps):
             chunks.append((k0, k1))
             assert z.shape == (k1 - k0, n)
             if k0 == 0:
@@ -454,12 +476,12 @@ class TestBufferedDraws:
             assert np.shares_memory(z, first_z)  # one allocation per call
             self._check_chunk(keys, seed, k0, k1, u, z)
         assert chunks == expected
-        assert list(engine._draws(keys, 0)) == []
+        assert list(streams.draws(keys, 0)) == []
 
     @staticmethod
     def _check_chunk(keys, seed, k0, k1, u, z):
         """The chunk against the allocating raw_words/to_unit/box_muller
-        path and against each sampled lane's stream consumed one value at a
+        path and against each sampled lane's words taken one counter at a
         time."""
         base = (np.arange(k0, k1, dtype=np.uint64) * np.uint64(3))[:, None]
 
@@ -470,11 +492,8 @@ class TestBufferedDraws:
         assert u.shape == z.shape and np.array_equal(u, unit(0))
         n = len(keys)
         for j in (0, engine.BATCH_SIZE - 1, engine.BATCH_SIZE, n - 1):
-            stream = CounterStream(seed, j)
-            stream.uniform(3 * k0)  # the counters of steps 0..k0-1
             for i in range(k1 - k0):
-                assert u[i, j] == stream.uniform(), (i, j)
-                assert z[i, j] == stream.standard_normal(), (i, j)
+                assert (u[i, j], z[i, j]) == scalar_draw(stream_key(seed, j), k0 + i), (i, j)
 
     def test_advance_does_not_fault_per_chunk(self):
         # freed per-chunk draw arrays went back to the OS and faulted in

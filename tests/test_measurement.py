@@ -133,6 +133,43 @@ class TestSampler:
         ]
         assert scalar == vector
 
+    @pytest.mark.parametrize(
+        "state,g",
+        [
+            (BlochState.ground(), 0.0),
+            (BlochState.excited(), 2.0),
+            (BlochState.dipole_plus(), 1.0),
+            (BlochState.dipole_minus(), 1.0),
+        ],
+        ids=["ground-g0", "excited-g2", "dipole+-g1", "dipole--g1"],
+    )
+    def test_samples_are_the_records_of_a_stationary_trajectory(self, state, g):
+        # at these fixed points every rotation is exactly 0, so a trajectory
+        # draws every record at the sampled state: sample i is step i's
+        # record of that trajectory, over several of the generator's chunks
+        n, seed, index = 100_000, 3, 5
+        config = RunConfig(params=PARAMS, gain=g, initial=state, n_steps=n, seed=seed)
+        dn, theta, _ = run_trajectory_arrays(config, index)
+        assert not theta.any()
+        rng = CounterStream(seed, index)
+        samples = sample_records(state, PARAMS, SamplingMode.CONDITIONAL, rng, n)
+        assert np.array_equal(samples, dn)
+
+    def test_vacuum_samples_share_the_conditional_normals(self):
+        # alpha*z is the vacuum record and the conditional one less its centre
+        state, rng = BlochState(0.9), CounterStream(6, 2)
+        vacuum = sample_records(state, PARAMS, SamplingMode.VACUUM, rng, 1000)
+        conditional = sample_records(state, PARAMS, SamplingMode.CONDITIONAL, rng, 1000)
+        mu = record_shift(PARAMS)
+        assert np.array_equal(conditional, vacuum + np.where(conditional > vacuum, mu, -mu))
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="sample size must be >= 0, got -5"):
+            sample_records(BlochState.excited(), PARAMS, SamplingMode.VACUUM, CounterStream(1), -5)
+        assert sample_records(
+            BlochState.excited(), PARAMS, SamplingMode.VACUUM, CounterStream(1), 0
+        ).shape == (0,)
+
     @pytest.mark.parametrize("mode", [SamplingMode.VACUUM, SamplingMode.CONDITIONAL])
     def test_goodness_of_fit(self, mode):
         state = BlochState(1.1)

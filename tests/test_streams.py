@@ -1,61 +1,53 @@
-import numpy as np
-import pytest
+import ast
+from pathlib import Path
 
-from homodyne_feedback import CounterStream, stream_key
-from homodyne_feedback.streams import box_muller, raw_words, to_unit
+import numpy as np
+
+import homodyne_feedback
+from homodyne_feedback import stream_key
+from homodyne_feedback.streams import box_muller, draws, raw_words, to_unit
+
+
+def one_lane(seed, index, n):
+    """Uniforms and normals of steps 0..n-1 of stream (seed, index), copied
+    out of the generator's chunks."""
+    u, z = np.empty((2, n))
+    for k0, k1, uk, zk in draws(stream_key(seed, [index]), n):
+        u[k0:k1], z[k0:k1] = uk[:, 0], zk[:, 0]
+    return u, z
 
 
 class TestStreamDerivation:
     def test_distinct_indices_differ(self):
-        a = CounterStream(42, 0).standard_normal()
-        b = CounterStream(42, 1).standard_normal()
-        assert a != b
+        ((_, _, u, z),) = draws(stream_key(42, np.arange(2, dtype=np.uint64)), 1)
+        assert u[0, 0] != u[0, 1]
+        assert z[0, 0] != z[0, 1]
 
     def test_reproducible_across_instances(self):
-        # stream state is a pure function of (seed, index)
-        x = CounterStream(42, 7).standard_normal(16)
-        y = CounterStream(42, 7).standard_normal(16)
-        assert np.array_equal(x, y)
+        # a stream's draws are a pure function of (seed, index, step)
+        assert np.array_equal(one_lane(42, 7, 16), one_lane(42, 7, 16))
 
     def test_key_is_order_independent(self):
         keys = stream_key(9, np.arange(100, dtype=np.uint64))
         assert keys[17] == stream_key(9, 17)
         assert len(set(keys.tolist())) == 100
 
-    def test_vectorized_matches_scalar_consumption(self):
-        s = CounterStream(5, 3)
-        block = s.uniform(8)
-        t = CounterStream(5, 3)
-        singles = [t.uniform() for _ in range(8)]
-        assert block.tolist() == singles
-
-    @pytest.mark.parametrize("draw", ["uniform", "standard_normal"])
-    def test_negative_size_rejected_without_consuming(self, draw):
-        s = CounterStream(1, 0)
-        s.uniform(3)
-        with pytest.raises(ValueError, match="draw size must be >= 0, got -"):
-            getattr(s, draw)(-5)
-        assert s.counter == 3
-        # the stream goes on from where it stood, as if the call never happened
-        assert s.uniform(4).tolist() == CounterStream(1, 0).uniform(7)[3:].tolist()
-        assert s.uniform(0).shape == (0,)
-
 
 class TestOutputQuality:
     def test_uniform_in_open_unit_interval(self):
-        u = CounterStream(1, 0).uniform(200_000)
+        u, _ = one_lane(1, 0, 200_000)
         assert u.min() > 0.0
         assert u.max() < 1.0
         assert abs(u.mean() - 0.5) < 0.005
 
     def test_normal_moments(self):
-        z = CounterStream(2, 0).standard_normal(1_000_000)
+        _, z = one_lane(2, 0, 1_000_000)
         assert abs(z.mean()) < 0.003
         assert abs(z.var() - 1.0) < 0.005
 
     def test_cross_stream_correlation(self):
-        a = CounterStream(42, 0).standard_normal(100_000)
-        b = CounterStream(42, 1).standard_normal(100_000)
+        _, a = one_lane(42, 0, 100_000)
+        _, b = one_lane(42, 1, 100_000)
         rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) < 0.01
 
@@ -128,3 +120,17 @@ class TestOutForms:
         # in place over its inputs, as the kernel calls it
         assert box_muller(u1, u2, out=u1, scratch=u2) is u1
         assert np.array_equal(u1, want)
+
+
+def test_only_streams_calls_the_transforms():
+    # one counter layout: every other module draws through streams.draws
+    transforms = {"raw_words", "to_unit", "box_muller"}
+    callers = set()
+    for path in Path(homodyne_feedback.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in transforms:
+                    callers.add(path.name)
+    assert callers == {"streams.py"}
