@@ -95,6 +95,15 @@ class SimParams:
             raise ValueError(
                 f"gamma*tau = {gt:g} exceeds the weak-coupling cap {WEAK_COUPLING_MAX}"
             )
+        # alpha's one float range.  A record is +-mu + alpha*z with centre mu =
+        # sqrt(gamma*tau)*alpha (as record_shift computes it) and |z| <= sqrt(108 ln 2)
+        # ~ 8.652 (to_unit's least uniform is 2**-54); at gamma*tau <= 0.1 it lies
+        # within +-8.97 alpha, so a finite 10 alpha (the histogram's range) keeps every
+        # record finite.  A subnormal centre has lost bits: records leave the model.
+        if not math.isfinite(10.0 * self.alpha):
+            raise ValueError(f"alpha = {self.alpha:g} is too large: 10*alpha overflows float64")
+        if math.sqrt(gt) * self.alpha < np.finfo(float).tiny:
+            raise ValueError(f"alpha = {self.alpha:g} is too small: its record centre is subnormal")
         if gt > WEAK_COUPLING_WARN:
             warnings.warn(
                 f"gamma*tau = {gt:g} is above {WEAK_COUPLING_WARN}; "

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -95,7 +94,8 @@ def parse_source(text: str) -> SourceSpec:
 
 
 def read_config_file(path: str, known: set[str]) -> dict[str, str]:
-    """Flat key=value config; '#' starts a comment; unknown keys are errors."""
+    """Flat key=value config; '#' starts a comment; unknown and repeated keys
+    are errors."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -106,6 +106,8 @@ def read_config_file(path: str, known: set[str]) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise FlagError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise FlagError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value
     return values
 
@@ -177,10 +179,18 @@ def _write_csv(f, values: dict, header: str, rows) -> None:
     f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
+def _rows(columns):
+    """The rows of equal-length arrays, converted to Python values 1,024 rows
+    at a time, so no whole column is held as Python objects."""
+    for k in range(0, len(columns[0]), 1024):
+        yield from zip(*(c[k : k + 1024].tolist() for c in columns))
+
+
 # Peak bytes an output holds per element, from tracemalloc at small sizes
 # (CPython 3.11, numpy 2.4).  A statistics row is the slope of `simulate`'s
-# peak between 1,000 and 41,000 steps (10 trajectories): 313 B a step as
-# CSV and 314 B as JSON, both streamed to the file.  A drift-field grid
+# peak between 2,000 and 42,000 steps (10 trajectories): 311 B a step as
+# JSON, whose columns are lists, and 76 B as CSV, whose rows are converted a
+# block at a time; both are streamed to the file.  A drift-field grid
 # point costs 347 B a panel, the same slope of `figure --kind drift-field`.
 # A record costs 8.3 B, the slope of `figure --kind record-histogram`
 # between 100,000 and 2,100,000 samples of either law: the records
@@ -220,13 +230,15 @@ def cmd_simulate(args) -> int:
         raise FlagError(f"unknown format {values['format']!r}")
     config = _run_config(values)
     result = run_ensemble(config)
-    stats = {"step": list(range(len(result.time)))}
-    stats |= {name: getattr(result, attr).tolist() for name, attr in _STATS_COLUMNS.items()}
+    columns = [getattr(result, attr) for attr in _STATS_COLUMNS.values()]
     # written as encoded, never held as one whole text, so _ROW_BYTES bounds a step
     with open(values["out"], "w") as f:
         if values["format"] == "csv":
-            _write_csv(f, values, CSV_HEADER, zip(*stats.values()))
+            rows = ((k, *row) for k, row in enumerate(_rows(columns)))
+            _write_csv(f, values, CSV_HEADER, rows)
         else:
+            stats = {"step": list(range(len(result.time)))}
+            stats |= {name: c.tolist() for name, c in zip(_STATS_COLUMNS, columns)}
             payload = {"config": _run_settings(values), "seed": config.seed, "columns": stats}
             json.dump(payload, f, indent=2)
             f.write("\n")
@@ -245,7 +257,7 @@ def _dump_rows(config: RunConfig):
         columns = (phi, np.sin(phi), np.cos(phi), dn, th)
         # the dumped state is the post-step state, so its time stamp is
         # (k + 1) * tau, matching the ensemble CSV rows
-        for k, row in enumerate(zip(*(c.tolist() for c in columns)), 1):
+        for k, row in enumerate(_rows(columns), 1):
             yield (i, k, k * tau, *row)
 
 
@@ -335,12 +347,6 @@ def cmd_figure(args) -> int:
         _check_fits(f"{values['samples']} records in {values['bins']} bins", nbytes)
         state = parse_initial(values["initial"])
         mode = parse_sampling(values["sampling"])
-        # the bins span +-5 alpha; a finite width 10 alpha also bounds every
-        # record, +-mu + alpha*z with mu < alpha and |z| < 9, so none overflows
-        if not math.isfinite(10.0 * params.alpha):
-            raise ValueError(
-                f"non-finite histogram range: alpha = {params.alpha:g} overflows float64"
-            )
         rng = CounterStream(values["seed"], 0)
         records = sample_records(state, params, mode, rng, values["samples"])
         svg = histogram_svg(records, values["bins"], params.alpha)

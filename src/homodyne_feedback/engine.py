@@ -4,6 +4,7 @@ Every trajectory owns a counter-based stream derived from (seed, index), so
 ensembles are embarrassingly parallel and the aggregate is bit-identical for
 any worker count.  Ensembles run through the batched kernel `_advance`.
 Every step draws its record from the atom-conditioned `conditional_pdf`.
+`SimParams` bounds alpha, so the kernel runs under numpy's default error state.
 
 An ensemble is cut into fixed batches of BATCH_SIZE trajectories, and each
 worker advances a slab, a run of up to SLAB_BATCHES consecutive batches, as
@@ -295,10 +296,7 @@ def _slab_sums(config: RunConfig, batches) -> np.ndarray:
         [stream_key(config.seed, np.arange(i0, i1, dtype=np.uint64)) for i0, i1 in batches]
     )
     phi0 = np.full(len(keys), config.initial.phi)
-    # an overflowing alpha * z turns the sums non-finite, which run_ensemble
-    # refuses; numpy's error state is per thread, so it is set here
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, sums = _advance(phi0, keys, config.params, config.gain, config.n_steps)
+    _, sums = _advance(phi0, keys, config.params, config.gain, config.n_steps)
     return sums
 
 
@@ -312,17 +310,13 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     """
     n = config.n_trajectories
     bounds = [(i, min(i + BATCH_SIZE, n)) for i in range(0, n, BATCH_SIZE)]
-    workers = min(sim_threads(), len(bounds))
+    workers = min(sim_threads(), _hardware_threads(), len(bounds))
     width = min(SLAB_BATCHES, -(-len(bounds) // workers))
     slabs = [bounds[i : i + width] for i in range(0, len(bounds), width)]
-    # the slab width follows SIM_THREADS; the threads started do not exceed
-    # the hardware's, so a large SIM_THREADS does not start one per slab
-    with ThreadPoolExecutor(max_workers=min(workers, _hardware_threads())) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         slab_sums = list(pool.map(lambda slab: _slab_sums(config, slab), slabs))
     batch_sums = [s for sums in slab_sums for s in sums]
     total = batch_sums[0]
     for s in batch_sums[1:]:  # fixed reduction order
         total = total + s
-    if not np.isfinite(total).all():
-        raise ValueError(f"non-finite angles: alpha = {config.params.alpha:g} overflows float64")
     return EnsembleResult.from_sums(total, n, config)

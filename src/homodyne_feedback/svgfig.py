@@ -142,7 +142,7 @@ def histogram_svg(records: np.ndarray, bins: int, alpha: float) -> str:
     """Histogram of `records` in `bins` equal bins on [-5 alpha, 5 alpha]
     with the weak-field Gaussian overlaid.  Densities are normalised by the
     count of all records, so records outside the range lower every bin.
-    The caller refuses an alpha whose range width 10 alpha is not finite."""
+    SimParams refuses an alpha whose range width 10 alpha is not finite."""
     counts, edges = np.histogram(records, bins, range=(-5.0 * alpha, 5.0 * alpha))
     widths = np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])

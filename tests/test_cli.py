@@ -215,7 +215,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "alpha,code",
         [
-            # alpha * z overflows float64 in the kernel, so the angles go non-finite
+            # 10 alpha overflows float64, so SimParams refuses alpha before any run
             ("1e308", 2),
             ("1e307", 0),
         ],
@@ -229,12 +229,27 @@ class TestSimulate:
             ]
         ) == code
         if code:
-            # the kernel's float errors are not warned about: one error line
-            message = f"error: non-finite angles: alpha = {float(alpha):g} overflows float64"
+            message = f"error: alpha = {float(alpha):g} is too large: 10*alpha overflows float64"
             assert capsys.readouterr().err.splitlines() == [message]
             assert list(tmp_path.iterdir()) == []
         else:
             assert "nan" not in out.read_text()
+
+    @pytest.mark.parametrize(
+        "alpha,message",
+        [
+            ("1e308", "alpha = 1e+308 is too large: 10*alpha overflows float64"),
+            ("5e-324", "alpha = 4.94066e-324 is too small: its record centre is subnormal"),
+        ],
+    )
+    def test_alpha_outside_float_range_exits_2(self, tmp_path, capsys, alpha, message):
+        # one trajectory of one step: the refusal does not wait for the run,
+        # nor depend on whether some draw overflows
+        out, dump = tmp_path / "ens.csv", tmp_path / "traj.csv"
+        argv = ["simulate", "--alpha", alpha, "--steps", "1", "--trajectories", "1"]
+        assert main([*argv, "--out", str(out), "--dump-trajectories", str(dump)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_out_exits_3(self, tmp_path):
         assert main(
@@ -257,6 +272,14 @@ class TestConfigFile:
         assert "# steps=20" in comments
         assert "# seed=5" in comments
         assert len(rows) == 21
+
+    def test_duplicate_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=10\n# later\nsteps=20\n")
+        out = tmp_path / "a.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:3: duplicate key 'steps'"]
+        assert not out.exists()
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -561,18 +584,23 @@ class TestFigure:
         "alpha,bins,message",
         [
             # the bins span +-5 alpha, whose width 10 alpha overflows float64
-            # above ~1.8e307, while the ends 5 alpha do above ~3.6e307
-            ("1e308", "100", "non-finite histogram range: alpha = 1e+308 overflows float64"),
-            ("3e307", "2", "non-finite histogram range: alpha = 3e+307 overflows float64"),
+            # above ~1.8e307, while the ends 5 alpha do above ~3.6e307:
+            # SimParams refuses both
+            ("1e308", "100", "alpha = 1e+308 is too large: 10*alpha overflows float64"),
+            ("3e307", "2", "alpha = 3e+307 is too large: 10*alpha overflows float64"),
             ("1e300", "100", None),
-            # two bins of width ~5e-320 make every density overflow
-            ("1e-320", "2", "non-finite histogram density: alpha = 9.99989e-321 is too small"),
+            # below ~7.04e-307 the record centre sqrt(gamma*tau)*alpha is subnormal
+            ("1e-320", "2", "alpha = 9.99989e-321 is too small: its record centre is subnormal"),
+            ("1e-307", "2", "alpha = 1e-307 is too small: its record centre is subnormal"),
+            ("2e-308", "2", "alpha = 2e-308 is too small: its record centre is subnormal"),
+            # an accepted alpha whose 100,000 bins of width ~7e-311 make the
+            # densities overflow
+            ("7.1e-307", "100000", "non-finite histogram density: alpha = 7.1e-307 is too small"),
             # a finite range or density whose plot map, 550 or 350 pixels
             # times the axis span, overflows
             ("1.7e307", "2", "plot x axis [-8.5e+307, 8.5e+307] overflows float64"),
             ("1e305", "2", "plot x axis [-5e+305, 5e+305] overflows float64"),
-            ("1e-307", "2", "plot y axis [0, 1.05e+306] overflows float64"),
-            ("2e-308", "2", "plot y axis [0, 5.25e+306] overflows float64"),
+            ("7.1e-307", "100", "plot y axis [0, 1.47887e+306] overflows float64"),
         ],
     )
     def test_overflowing_histogram_range_exits_2(self, tmp_path, capsys, alpha, bins, message):
@@ -591,13 +619,13 @@ class TestFigure:
 
     def test_overflowing_histogram_range_refused_before_sampling(self, tmp_path, capsys):
         # among 1000 records at alpha = 1e308 some alpha*z overflow (|z| >
-        # 1.8), and numpy's overflow warning fails the test: the range is
-        # refused before any record is drawn
+        # 1.8), and numpy's overflow warning fails the test: SimParams
+        # refuses alpha before any record is drawn
         out = tmp_path / "x.svg"
         argv = ["--alpha", "1e308", "--samples", "1000", "--bins", "100", "--out", str(out)]
         assert main(["figure", "--kind", "record-histogram", *argv]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: non-finite histogram range: alpha = 1e+308 overflows float64"
+            "error: alpha = 1e+308 is too large: 10*alpha overflows float64"
         ]
         assert not out.exists()
 
@@ -776,6 +804,29 @@ def test_simulate_peak_per_step_within_size_rule(tmp_path, fmt):
 
     peak(10)  # first-call allocations that later runs reuse
     assert (peak(6000) - peak(2000)) / 4000 <= cli._ROW_BYTES
+
+
+def test_simulate_csv_holds_no_python_column(monkeypatch):
+    # CSV rows are converted from the result arrays a block at a time, so
+    # writing them holds nothing that grows with the steps; converting whole
+    # columns to lists first held ~264 B a step, as JSON still does
+    run = cli.run_ensemble
+
+    def traced_after_run(config):
+        result = run(config)
+        tracemalloc.start()
+        return result
+
+    def peak(steps):
+        argv = ["simulate", "--steps", str(steps), "--trajectories", "1", "--out", os.devnull]
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "run_ensemble", traced_after_run)
+    assert (peak(5_000) - peak(1_000)) / 4_000 <= np.dtype(np.float64).itemsize
 
 
 @pytest.mark.parametrize("sampling", ["vacuum", "conditional"])

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from homodyne_feedback import (
     rotation_angle,
     run_ensemble,
     run_trajectory_arrays,
+    sample_records,
 )
 from homodyne_feedback import engine, streams
 from homodyne_feedback.streams import box_muller, raw_words, stream_key, to_unit
@@ -263,13 +266,11 @@ class TestRunEnsemble:
         for name in ("time", *MOMENTS):
             assert np.array_equal(getattr(direct, name), getattr(rebuilt, name)), name
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_angles_raise(self):
-        # alpha * z overflows float64 in the kernel once |z| > 1.8, which
-        # some of the 800 normal draws exceed, so the sums go non-finite
-        params = SimParams(gamma=1.0, tau=1e-3, alpha=1e308)
-        with pytest.raises(ValueError, match="non-finite angles: alpha = 1e\\+308"):
-            run_ensemble(make_config(params=params, n_steps=20, n_trajectories=40))
+        # at alpha = 1e308, alpha * z would overflow float64 in the kernel once
+        # |z| > 1.8; SimParams refuses that alpha before any run is configured
+        with pytest.raises(ValueError, match="alpha = 1e\\+308 is too large"):
+            SimParams(gamma=1.0, tau=1e-3, alpha=1e308)
 
     def test_monotone_relaxation_towards_ground(self):
         config = make_config(n_steps=500, n_trajectories=2000, seed=33)
@@ -294,8 +295,9 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("cpus,threads", [(2, 2), (None, 1)])
     def test_thread_pool_bounded_by_hardware(self, monkeypatch, cpus, threads):
-        # SIM_THREADS far above the CPU count keeps its layout, one batch a
-        # slab, but the pool starts no more threads than the machine has
+        # SIM_THREADS far above the CPU count starts no more threads than the
+        # machine has, and the slabs are cut for the threads started: six
+        # batches make 3+3 on two threads and 4+2 on one
         pools, slabs = [], []
 
         class SerialPool:
@@ -326,7 +328,7 @@ class TestRunEnsemble:
             monkeypatch.setenv("SIM_THREADS", t)
             results[t] = run_ensemble(config)
         assert pools == [threads, 1]
-        assert slabs == [1] * 6 + [4, 2]
+        assert slabs == ([3, 3] if threads == 2 else [4, 2]) + [4, 2]
         for name in MOMENTS:
             assert np.array_equal(getattr(results["10000"], name), getattr(results["1"], name))
 
@@ -509,6 +511,68 @@ class TestBufferedDraws:
         engine._advance(phi0, keys, PARAMS, 0.0, 200)
         faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
         assert faults < 2000
+
+
+class TestAlphaRange:
+    # SimParams accepts alpha while 10 alpha is finite and the record centre
+    # sqrt(gamma*tau)*alpha is a normal float
+    GT = 1e-3
+    HIGH = float(np.finfo(float).max / 10)
+
+    @staticmethod
+    def low(gt):
+        """The least alpha whose record centre sqrt(gt)*alpha is a normal float."""
+        tiny = np.finfo(float).tiny
+        a = tiny / math.sqrt(gt)
+        while math.sqrt(gt) * a < tiny:
+            a = np.nextafter(a, math.inf)
+        while math.sqrt(gt) * np.nextafter(a, 0.0) >= tiny:
+            a = np.nextafter(a, 0.0)
+        return float(a)
+
+    def test_first_alpha_past_each_bound_is_refused(self):
+        low = self.low(self.GT)
+        for alpha in (self.HIGH, low):
+            SimParams(gamma=1.0, tau=self.GT, alpha=alpha)
+        with pytest.raises(ValueError, match="too large: 10\\*alpha overflows float64"):
+            SimParams(gamma=1.0, tau=self.GT, alpha=float(np.nextafter(self.HIGH, math.inf)))
+        with pytest.raises(ValueError, match="too small: its record centre is subnormal"):
+            SimParams(gamma=1.0, tau=self.GT, alpha=float(np.nextafter(low, 0.0)))
+
+    @pytest.mark.parametrize("end", ["high", "low"])
+    def test_accepted_ends_run_as_alpha_100(self, end):
+        # every record lies within +-8.97 alpha, so at either end the kernel,
+        # the stepper and the sampler raise no float warning, and records
+        # scaled by 1/alpha agree with alpha = 100's to rounding (a subnormal
+        # centre, alpha = 1e-310, is off by ~5e-14 in mean_sz)
+        alpha = self.HIGH if end == "high" else self.low(self.GT)
+        runs = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (alpha, 100.0):
+                params = SimParams(gamma=1.0, tau=self.GT, alpha=a)
+                config = make_config(params=params, n_steps=200, n_trajectories=4096, seed=3)
+                res = run_ensemble(config)
+                dn, _, phi = run_trajectory_arrays(config, 0)
+                records = sample_records(
+                    BlochState.dipole_plus(), params, SamplingMode.CONDITIONAL,
+                    CounterStream(5), 10_000,
+                )
+                runs[a] = (res.mean_sx, res.mean_sz, res.var_sz, phi, dn / a, records / a)
+        for got, want in zip(runs[alpha], runs[100.0]):
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_engine_runs_under_numpy_default_error_state():
+    # SimParams bounds alpha so that no kernel float overflows; a silenced
+    # error state would hide a future overflow from the RuntimeWarning filter
+    called = set()
+    for node in ast.walk(ast.parse(Path(engine.__file__).read_text())):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+    assert "errstate" not in called
 
 
 class TestRunConfigValidation:
