@@ -96,10 +96,10 @@ class SimParams:
                 f"gamma*tau = {gt:g} exceeds the weak-coupling cap {WEAK_COUPLING_MAX}"
             )
         # alpha's one float range.  A record is +-mu + alpha*z with centre mu =
-        # sqrt(gamma*tau)*alpha (as record_shift computes it) and |z| <= sqrt(108 ln 2)
-        # ~ 8.652 (to_unit's least uniform is 2**-54); at gamma*tau <= 0.1 it lies
-        # within +-8.97 alpha, so a finite 10 alpha (the histogram's range) keeps every
-        # record finite.  A subnormal centre has lost bits: records leave the model.
+        # sqrt(gamma*tau)*alpha (as record_shift computes it) and |z| <= streams.Z_MAX;
+        # at gamma*tau <= 0.1 it lies within +-8.97 alpha, so a finite 10 alpha (the
+        # histogram's range) keeps every record finite.  A subnormal centre has lost
+        # bits: records leave the model.
         if not math.isfinite(10.0 * self.alpha):
             raise ValueError(f"alpha = {self.alpha:g} is too large: 10*alpha overflows float64")
         if math.sqrt(gt) * self.alpha < np.finfo(float).tiny:
@@ -108,7 +108,7 @@ class SimParams:
             warnings.warn(
                 f"gamma*tau = {gt:g} is above {WEAK_COUPLING_WARN}; "
                 "the weak-field record model degrades in this regime",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -4,7 +4,8 @@ Every trajectory owns a counter-based stream derived from (seed, index), so
 ensembles are embarrassingly parallel and the aggregate is bit-identical for
 any worker count.  Ensembles run through the batched kernel `_advance`.
 Every step draws its record from the atom-conditioned `conditional_pdf`.
-`SimParams` bounds alpha, so the kernel runs under numpy's default error state.
+`SimParams` bounds alpha, so the kernel runs under numpy's default error state;
+`RunConfig` bounds a step's rotation below a full turn, so one turn wraps it.
 
 An ensemble is cut into fixed batches of BATCH_SIZE trajectories, and each
 worker advances a slab, a run of up to SLAB_BATCHES consecutive batches, as
@@ -36,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochState, SimParams, normalize_angle
+from .bloch import BlochState, SimParams
 from .measurement import record_shift
-from .streams import _WORD_BUDGET, draws, stream_key
+from .streams import _WORD_BUDGET, Z_MAX, check_seed, draws, stream_key
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -79,11 +80,19 @@ class RunConfig:
             raise ValueError(
                 f"n_trajectories must be >= 1, got {self.n_trajectories}"
             )
-        if not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        check_seed(self.seed)
         if not math.isfinite(self.n_steps * self.params.tau):
             raise ValueError("n_steps * tau must be finite")
-        scale = _angle_scale(self.params, self.gain)
+        # A step turns by theta = sqrt_gt * (delta_n / alpha) * (1 + s_z - g), |theta| <=
+        # scale * (sqrt_gt + Z_MAX).  A 1e-12 margin, far above theta's rounding, keeps the
+        # computed |theta| below 2 pi by more than an ulp of 3 pi, so |phi + theta| < 3 pi
+        # for |phi| <= pi: one turn subtracts exactly there (Sterbenz) into (-pi, pi].
+        sqrt_gt = math.sqrt(self.params.gamma_tau)
+        scale = sqrt_gt * max(abs(2.0 - self.gain), abs(self.gain))
+        if scale * (sqrt_gt + Z_MAX) >= _TWO_PI * (1.0 - 1e-12):
+            raise ValueError(
+                f"per-step rotation scale {scale:.3g} lets one step turn by a full circle"
+            )
         if scale > ANGLE_SCALE_WARN:
             warnings.warn(
                 f"per-step rotation scale sqrt(gamma*tau)*max(|2-g|, |g|) = {scale:.3g} "
@@ -157,12 +166,6 @@ def check_gain(g: float) -> float:
     return g
 
 
-def _angle_scale(params: SimParams, g: float) -> float:
-    """Largest |theta| per unit |delta_n / alpha|: sqrt(gamma*tau) times
-    max over s_z in [-1, 1] of |1 + s_z - g|."""
-    return math.sqrt(params.gamma * params.tau) * max(abs(2.0 - g), abs(g))
-
-
 def _batch_rows(x, out):
     """Each batch's sum of the lane array x into out (one entry a batch):
     row sums of the full batches, then a ragged last batch as its own slice,
@@ -190,7 +193,6 @@ def _advance(phi, keys, params, g, n_steps):
     alpha = params.alpha
     sqrt_gt = math.sqrt(params.gamma * params.tau)
     mu = record_shift(params)
-    scale = _angle_scale(params, g)
 
     n = phi.shape[0]
     sums = np.empty((-(-n // BATCH_SIZE), n_steps + 1, 4))
@@ -209,11 +211,6 @@ def _advance(phi, keys, params, g, n_steps):
 
     record(0)
     for k0, k1, u, z in draws(keys, n_steps):
-        # |delta_n / alpha| <= sqrt_gt + |z|.  One turn of wrapping keeps
-        # phi in (-pi, pi] while |theta| <= 2 pi; only chunks whose draws
-        # could rotate by more than pi check every lane.  max |z| is taken
-        # from z's extremes, which needs no temporary.
-        full_wrap = scale * (sqrt_gt + max(z.max(), -z.min())) > _PI
         for i, k in enumerate(range(k0, k1)):
             # delta_n = center + alpha * z, center = mu where u < (1 + s_x) / 2
             # and -mu elsewhere.  The center is (u < ...) * 2 mu - mu, which
@@ -225,7 +222,7 @@ def _advance(phi, keys, params, g, n_steps):
             np.multiply(mask, 2.0 * mu, out=tmp)
             np.subtract(tmp, mu, out=tmp)
             np.add(tmp, theta, out=theta)
-            # theta = sqrt_gt * (delta_n / alpha) * (1 + s_z - g)
+            # theta = sqrt_gt * (delta_n / alpha) * (1 + s_z - g), |theta| < 2 pi (RunConfig)
             np.divide(theta, alpha, out=theta)
             np.multiply(theta, sqrt_gt, out=theta)
             np.add(sz, 1.0, out=tmp)
@@ -236,9 +233,6 @@ def _advance(phi, keys, params, g, n_steps):
             np.subtract(phi, _TWO_PI, out=phi, where=mask)
             np.less_equal(phi, -_PI, out=mask)
             np.add(phi, _TWO_PI, out=phi, where=mask)
-            if full_wrap:
-                for j in np.flatnonzero((phi > _PI) | (phi <= -_PI)):
-                    phi[j] = normalize_angle(float(phi[j]))
             np.sin(phi, out=sx)
             np.cos(phi, out=sz)
             record(k + 1)
@@ -253,10 +247,7 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
     lane of `_advance` bit for bit (`math.sin`/`math.cos` agree with
     numpy's float64 sin/cos where both use the C library's; the tests check
     every step against the kernel).  Out-of-range angles are wrapped as the
-    kernel wraps them: one turn, then `normalize_angle` if still out of
-    range.  The one-turn subtraction is exact only for |phi| <= 4 pi, so for
-    steps with |theta| > 3 pi that differs from `normalize_angle` alone in
-    the last bit.
+    kernel wraps them, by one turn.
     """
     params = config.params
     alpha = params.alpha
@@ -275,8 +266,10 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
             dn = (mu if ui < 0.5 * (1.0 + sx) else -mu) + alpha * zi
             theta = sqrt_gt * (dn / alpha) * (1.0 + sz - g)
             phi += theta
-            if phi > _PI or phi <= -_PI:
-                phi = normalize_angle(phi - _TWO_PI if phi > _PI else phi + _TWO_PI)
+            if phi > _PI:
+                phi -= _TWO_PI
+            elif phi <= -_PI:
+                phi += _TWO_PI
             sx, sz = sin(phi), cos(phi)
             rows += (dn, theta, phi)
         out[:, k0:k1] = np.reshape(rows, (-1, 3)).T

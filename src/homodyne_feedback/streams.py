@@ -11,6 +11,8 @@ sample at a stationary state is that trajectory's record at the same step.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -19,6 +21,16 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 _TWO_M53 = 1.0 / 9007199254740992.0  # 2**-53
 _TWO_PI = 2.0 * np.pi
+
+# box_muller's largest |z|, sqrt(-2 ln u) at to_unit's least uniform u = 2**-54
+Z_MAX = math.sqrt(108.0 * math.log(2.0))
+
+
+def check_seed(seed: int) -> int:
+    """seed, if it can seed a stream: an unsigned 64-bit integer."""
+    if not (0 <= seed < 2**64):
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 def _mix(z, scratch=None):
@@ -126,4 +138,4 @@ class CounterStream:
     its key is all it holds, and `draws` lays out its counters."""
 
     def __init__(self, seed: int, index: int = 0):
-        self.key = stream_key(seed, index)
+        self.key = stream_key(check_seed(seed), index)

@@ -75,6 +75,12 @@ class TestSimParams:
         with pytest.warns(UserWarning):
             SimParams(gamma=1.0, tau=0.05, alpha=10.0)
 
+    def test_weak_coupling_warning_names_the_caller(self):
+        # not the dataclass's generated __init__, which has no source file
+        with pytest.warns(UserWarning, match="weak-field") as caught:
+            SimParams(gamma=1.0, tau=0.05, alpha=10.0)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_no_warning_at_boundary(self, recwarn):
         SimParams(gamma=1.0, tau=1e-2, alpha=10.0)
         assert len(recwarn) == 0

@@ -251,6 +251,24 @@ class TestSimulate:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv,scale",
+        [
+            (["simulate", "--tau", "0.1", "--policy", "custom:10", "--steps", "3",
+              "--trajectories", "2"], "3.16"),
+            (["figure", "--kind", "decay", "--tau", "0.01", "--policy", "custom:8"], "0.8"),
+        ],
+        ids=["simulate", "figure-decay"],
+    )
+    def test_full_turn_step_exits_2(self, tmp_path, capsys, recwarn, argv, scale):
+        # one step could turn the atom by a full circle: refused before the
+        # rotation warning (gamma*tau = 0.1 still gives SimParams' warning)
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        message = f"error: per-step rotation scale {scale} lets one step turn by a full circle"
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert list(tmp_path.iterdir()) == []
+        assert not [w for w in recwarn if "rotation" in str(w.message)]
+
     def test_unwritable_out_exits_3(self, tmp_path):
         assert main(
             ["simulate", "--steps", "5", "--out", str(tmp_path / "no_dir" / "x.csv")]
@@ -580,6 +598,17 @@ class TestFigure:
         assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_record_histogram_seed_outside_uint64_exits_2(self, tmp_path, capsys, seed):
+        # the histogram's stream takes the seed rule an ensemble run does
+        out = tmp_path / "x.svg"
+        argv = ["figure", "--kind", "record-histogram", "--seed", seed, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: seed must be an unsigned 64-bit integer, got {seed}"
+        ]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "alpha,bins,message",
         [
@@ -787,46 +816,50 @@ def test_dumped_trajectory_counts_toward_the_size_rule(monkeypatch, tmp_path, ca
     assert not (tmp_path / "d").exists()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_simulate_peak_per_step_within_size_rule(tmp_path, fmt):
-    # the size rule's cost of a statistics row holds while both formats are
-    # streamed to the file; building the whole text first took ~790 B a step
-    # as CSV and ~1,170 B as JSON
-    def peak(steps):
-        argv = ["simulate", "--steps", str(steps), "--trajectories", "20",
-                "--format", fmt, "--out", str(tmp_path / "x")]
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peak(10)  # first-call allocations that later runs reuse
-    assert (peak(6000) - peak(2000)) / 4000 <= cli._ROW_BYTES
-
-
-def test_simulate_csv_holds_no_python_column(monkeypatch):
-    # CSV rows are converted from the result arrays a block at a time, so
-    # writing them holds nothing that grows with the steps; converting whole
-    # columns to lists first held ~264 B a step, as JSON still does
+@pytest.fixture
+def traced_after_run(monkeypatch):
+    """Start tracemalloc as `run_ensemble` returns, so a command's traced
+    peak is what writing its output holds."""
     run = cli.run_ensemble
 
-    def traced_after_run(config):
+    def traced(config):
         result = run(config)
         tracemalloc.start()
         return result
 
-    def peak(steps):
-        argv = ["simulate", "--steps", str(steps), "--trajectories", "1", "--out", os.devnull]
-        try:
-            assert main(argv) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    monkeypatch.setattr(cli, "run_ensemble", traced)
 
-    monkeypatch.setattr(cli, "run_ensemble", traced_after_run)
-    assert (peak(5_000) - peak(1_000)) / 4_000 <= np.dtype(np.float64).itemsize
+
+def _traced_peak(argv):
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _simulate(steps, fmt="csv"):
+    return ["simulate", "--steps", str(steps), "--trajectories", "1", "--format", fmt,
+            "--out", os.devnull]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_peak_per_step_within_size_rule(traced_after_run, fmt):
+    # the size rule's cost of a statistics row bounds what writing a step
+    # holds (~264 B as JSON, whose columns are lists).  Traced from the start
+    # of the run instead, the kernel's fixed ~1.3 MB of draw buffers set a
+    # short run's peak and hid up to ~3x that cost
+    _traced_peak(_simulate(10, fmt))  # first-call allocations that later runs reuse
+    per_step = (_traced_peak(_simulate(6_000, fmt)) - _traced_peak(_simulate(2_000, fmt))) / 4_000
+    assert per_step <= cli._ROW_BYTES
+
+
+def test_simulate_csv_holds_no_python_column(traced_after_run):
+    # CSV rows are converted from the result arrays a block at a time, so
+    # writing them holds nothing that grows with the steps; converting whole
+    # columns to lists first held ~264 B a step, as JSON still does
+    per_step = (_traced_peak(_simulate(5_000)) - _traced_peak(_simulate(1_000))) / 4_000
+    assert per_step <= np.dtype(np.float64).itemsize
 
 
 @pytest.mark.parametrize("sampling", ["vacuum", "conditional"])

@@ -71,9 +71,12 @@ def history_sums(initial_phi, phi):
     return np.stack([sx, sx * sx, sz, sz * sz], axis=1)
 
 
-# (gamma*tau, gain): the validated regime, and custom:+-10 at gamma*tau =
-# 0.1, whose steps reach |theta| > 2 pi and need the full wrap
-STEPPER_CASES = [(1e-3, g) for g in (0.0, 1.0, 2.0, 0.37)] + [(0.1, 10.0), (0.1, -10.0)]
+# (gamma*tau, gain): custom:-10 at the CLI's gamma*tau and gains near the
+# full-turn bound at 0.01 and 0.1, whose steps reach |theta| of 1.3-2.7 and
+# wrap across +-pi both ways
+WIDE_CASES = [(1e-3, -10.0), (0.01, 7.0), (0.01, -5.0), (0.1, 2.2), (0.1, -0.2)]
+# the validated regime, then the wide cases
+STEPPER_CASES = [(1e-3, g) for g in (0.0, 1.0, 2.0, 0.37)] + WIDE_CASES
 
 # starting angles on either side of s_x = 0, so the record's mixture weight
 # 0.5*(1 + s_x) starts above 1/2 in one and below it in the other
@@ -82,7 +85,7 @@ STEPPER_PHI0 = [0.3, -2.5]
 
 def stepper_config(gamma_tau, g, n_steps, phi0=0.3, seed=9):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the large-angle cases warn
+        warnings.simplefilter("ignore", UserWarning)  # the wide cases warn
         return make_config(
             params=SimParams(gamma=1.0, tau=gamma_tau, alpha=100.0),
             gain=g,
@@ -129,20 +132,30 @@ class TestStep:
         assert final[0] == phi[-1]
         assert np.array_equal(sums, history_sums(config.initial.phi, phi))
 
-    def test_large_angles_wrap_fully_and_match_batched(self):
-        # custom:10 at gamma*tau = 0.1 is allowed (it only warns) and drives
-        # |theta| past 2 pi, beyond what a single-turn wrap can undo
-        with pytest.warns(UserWarning):
-            params = SimParams(gamma=1.0, tau=0.1, alpha=100.0)
-            config = make_config(
-                params=params, gain=10.0, n_steps=2000, seed=3
-            )
-        _, th, phi = run_trajectory_arrays(config, 0)
-        assert np.abs(th).max() > 2.0 * math.pi
-        assert np.all((phi > -math.pi) & (phi <= math.pi))
-        final, sums = kernel(config, 1)
-        assert final[0] == phi[-1]
-        assert np.array_equal(sums, history_sums(config.initial.phi, phi))
+    @pytest.mark.parametrize("gamma_tau,g", WIDE_CASES)
+    def test_wide_cases_wrap_across_pi_both_ways(self, gamma_tau, g):
+        # a step that leaves (-pi, pi] upwards and one that leaves it downwards,
+        # each brought back by one turn
+        config = stepper_config(gamma_tau, g, 300, phi0=-2.5)
+        up = down = 0
+        for i in range(37):
+            _, th, phi = run_trajectory_arrays(config, i)
+            moved = np.concatenate([[config.initial.phi], phi[:-1]]) + th
+            up += np.count_nonzero(moved > math.pi)
+            down += np.count_nonzero(moved <= -math.pi)
+            assert np.all((phi > -math.pi) & (phi <= math.pi))
+        assert up > 0 and down > 0
+
+    def test_large_angles_are_refused(self):
+        # custom:+-10 at gamma*tau = 0.1 could turn one step by more than 2 pi,
+        # beyond what a one-turn wrap undoes: refused before the angle warning
+        for g, scale in ((10.0, "3.16"), (-10.0, "3.79")):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                params = SimParams(gamma=1.0, tau=0.1, alpha=100.0)
+                with pytest.raises(ValueError, match=f"rotation scale {scale} lets one step turn"):
+                    make_config(params=params, gain=g, n_steps=2000, seed=3)
+            assert [str(w.message) for w in caught if "rotation" in str(w.message)] == []
 
 
 class TestRunTrajectory:
@@ -398,7 +411,7 @@ class TestChunking:
     def test_chunk_size_does_not_change_outputs(self, monkeypatch, gamma_tau, g):
         n, steps = engine.BATCH_SIZE, 40
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the large-angle cases warn
+            warnings.simplefilter("ignore", UserWarning)  # the wide cases warn
             params = SimParams(gamma=1.0, tau=gamma_tau, alpha=100.0)
         keys = stream_key(8, np.arange(n, dtype=np.uint64))
         phi0 = np.linspace(-math.pi, math.pi, n)
@@ -428,12 +441,12 @@ class TestChunking:
     @pytest.mark.parametrize("gamma_tau,g", STEPPER_CASES)
     def test_slab_width_does_not_change_batch_sums(self, gamma_tau, g):
         # one slab of three full batches and a ragged one, against each
-        # batch advanced alone; custom:+-10 at gamma*tau = 0.1 takes the
-        # full-wrap path
+        # batch advanced alone, up to the widest rotations RunConfig accepts
         n, steps = 3 * engine.BATCH_SIZE + 123, 20
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # gamma*tau = 0.1 warns
+            warnings.simplefilter("ignore", UserWarning)  # the wide cases warn
             params = SimParams(gamma=1.0, tau=gamma_tau, alpha=100.0)
+            make_config(params=params, gain=g)  # within the kernel's contract
         keys = stream_key(8, np.arange(n, dtype=np.uint64))
         phi0 = np.linspace(-math.pi, math.pi, n)
         final, sums = engine._advance(phi0, keys, params, g, steps)
@@ -564,15 +577,82 @@ class TestAlphaRange:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
 
-def test_engine_runs_under_numpy_default_error_state():
-    # SimParams bounds alpha so that no kernel float overflows; a silenced
-    # error state would hide a future overflow from the RuntimeWarning filter
+class TestRotationRange:
+    """RunConfig refuses a (gamma*tau, g) whose step could turn by 2 pi:
+    sqrt(gt) * (sqrt(gt) + Z_MAX) * max(|2 - g|, |g|) within 1e-12 of it."""
+
+    @staticmethod
+    def refused(gt, g):
+        """Whether RunConfig refuses gain g at gamma*tau = gt, and the
+        rotation warnings it gave."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            params = SimParams(gamma=1.0, tau=gt, alpha=100.0)
+            try:
+                make_config(params=params, gain=g)
+                refused = False
+            except ValueError as exc:
+                assert "lets one step turn by a full circle" in str(exc)
+                refused = True
+        return refused, [w for w in caught if "rotation scale" in str(w.message)]
+
+    @classmethod
+    def edge(cls, gt, side):
+        """The accepted gain farthest out on one side (+1 or -1) at gt."""
+        sqrt_gt = math.sqrt(gt)
+        width = 2.0 * math.pi * (1.0 - 1e-12) / (sqrt_gt * (sqrt_gt + streams.Z_MAX))
+        g = 1.0 + side * (width - 1.0)  # max(|2 - g|, |g|) = width
+        out = side * math.inf
+        while not cls.refused(gt, g)[0]:
+            g = float(np.nextafter(g, out))
+        while cls.refused(gt, g)[0]:
+            g = float(np.nextafter(g, -out))
+        return g
+
+    @pytest.mark.parametrize(
+        "gt,low,high", [(0.01, -5.179, 7.179), (0.1, -0.2155, 2.2155)]
+    )
+    def test_first_gain_past_each_bound_is_refused_before_warning(self, gt, low, high):
+        for side, expected in ((-1, low), (1, high)):
+            g = self.edge(gt, side)
+            assert g == pytest.approx(expected, abs=1e-3)
+            refused, warned = self.refused(gt, float(np.nextafter(g, side * math.inf)))
+            assert refused and warned == []
+            # the largest accepted gain runs, both ways, and wraps by one turn
+            config = stepper_config(gt, g, 200, phi0=-2.5)
+            final, sums = kernel(config, 1)
+            _, _, phi = run_trajectory_arrays(config, 0)
+            assert np.all((phi > -math.pi) & (phi <= math.pi))
+            assert final[0] == phi[-1]
+            assert np.array_equal(sums, history_sums(config.initial.phi, phi))
+
+    # |g| <= 10 at every gamma*tau <= 3.6e-3 (g = -10 binds, with
+    # max(|2 - g|, |g|) = 12), and the named policies at every gamma*tau
+    @pytest.mark.parametrize("gt,g", [(3.6e-3, -10.0), (3.6e-3, 10.0), (0.1, 0.0), (0.1, 2.0)])
+    def test_accepted(self, gt, g):
+        assert self.refused(gt, g)[0] is False
+
+
+def _engine_calls():
+    """Names of the functions engine.py calls."""
     called = set()
     for node in ast.walk(ast.parse(Path(engine.__file__).read_text())):
         if isinstance(node, ast.Call):
             f = node.func
             called.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
-    assert "errstate" not in called
+    return called
+
+
+def test_engine_runs_under_numpy_default_error_state():
+    # SimParams bounds alpha so that no kernel float overflows; a silenced
+    # error state would hide a future overflow from the RuntimeWarning filter
+    assert "errstate" not in _engine_calls()
+
+
+def test_engine_wraps_by_one_turn():
+    # RunConfig bounds a step's rotation below 2 pi, so one turn wraps every
+    # angle the kernel and the stepper compute; a full reduction is dead code
+    assert "normalize_angle" not in _engine_calls()
 
 
 class TestRunConfigValidation:

@@ -5,7 +5,7 @@ import numpy as np
 
 import homodyne_feedback
 from homodyne_feedback import stream_key
-from homodyne_feedback.streams import box_muller, draws, raw_words, to_unit
+from homodyne_feedback.streams import Z_MAX, box_muller, draws, raw_words, to_unit
 
 
 def one_lane(seed, index, n):
@@ -50,6 +50,14 @@ class TestOutputQuality:
         _, b = one_lane(42, 1, 100_000)
         rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) < 0.01
+
+    def test_normals_reach_z_max_and_no_further(self):
+        # to_unit's least uniform is 2**-54; with cos(2 pi u2) = +-1 it gives
+        # the largest |z|, the bound the alpha range and the rotation rule use
+        least = to_unit(np.zeros(1, dtype=np.uint64))
+        assert least[0] == 2.0**-54
+        assert box_muller(least, least)[0] == Z_MAX
+        assert box_muller(least, np.array([0.5]))[0] == -Z_MAX
 
     def test_counter_words_are_stable(self):
         # pinned values: any change here silently breaks reproducibility
