@@ -9,9 +9,11 @@ underflow or lose norm (the oracle sizes its truncation from --alpha and
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from .analysis import drift_field
 from .bloch import BlochState, SimParams
 from .engine import BATCH_SIZE, RunConfig, check_gain, run_ensemble, run_trajectory_arrays
 from .fock import CutoffError, SourceSpec, delta_n_pmf, gaussian_distance, skellam_pmf
-from .measurement import SamplingMode, sample_records
+from .measurement import SamplingMode, conditional_pdf, sample_records
 from .streams import CounterStream
 from .svgfig import decay_svg, drift_field_svg, histogram_svg
 
@@ -130,6 +132,10 @@ def effective(args, spec: dict[str, tuple]):
             out[key] = default
     if out["out"] is None:
         raise FlagError("--out is required")
+    # raised before any work, as writing would; the oracle's summary sits beside --out
+    for path in filter(None, (out["out"], out.get("dump-trajectories"))):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     return out
 
 
@@ -349,7 +355,10 @@ def cmd_figure(args) -> int:
         mode = parse_sampling(values["sampling"])
         rng = CounterStream(values["seed"], 0)
         records = sample_records(state, params, mode, rng, values["samples"])
-        svg = histogram_svg(records, values["bins"], params.alpha)
+        law = None  # the law that drew the records; None is the vacuum law
+        if mode is SamplingMode.CONDITIONAL:
+            law = partial(conditional_pdf, state=state, params=params)
+        svg = histogram_svg(records, values["bins"], params.alpha, law)
     Path(values["out"]).write_text(svg)
     return 0
 

@@ -10,16 +10,15 @@ Every step draws its record from the atom-conditioned `conditional_pdf`.
 An ensemble is cut into fixed batches of BATCH_SIZE trajectories, and each
 worker advances a slab, a run of up to SLAB_BATCHES consecutive batches, as
 one wide lane array.  Every per-step operation writes into a workspace the
-kernel allocates once per slab.  The random draws come from one generator,
-`streams.draws`, which sizes the chunks, lays out the counters and fills
-buffers it allocates once per slab, so the kernel allocates no lane array
-per step or per chunk.  The kernel keeps one
-set of per-step sums per batch: the row sums of a (batches, BATCH_SIZE) view
-of each lane array, with a ragged last batch summed as its own slice.  Each
-is the same pairwise sum over the same lanes as that batch's own 1-D
-`.sum()`, so it is equal bit for bit however batches are grouped into
-slabs, and the batches are reduced in batch order.  The result therefore
-does not depend on the worker count.
+kernel allocates once per slab, or over the step's normals in the buffer of
+`streams.draws`, which sizes the chunks and lays out the counters, so no
+step or chunk allocates a lane array.  The kernel keeps one set of per-step
+sums per batch: the row sums of a (batches, BATCH_SIZE) view of each lane
+array, with a ragged last batch summed as its own slice.  Each is the same
+pairwise sum over the same lanes as that batch's own 1-D `.sum()`, so it is
+equal bit for bit however batches are grouped into slabs, and the batches
+are reduced in batch order.  The result therefore does not depend on the
+worker count.
 
 A single trajectory runs through `run_trajectory_arrays`, a plain float loop
 over the same draws that repeats the kernel's float64 operations in the
@@ -185,8 +184,8 @@ def _advance(phi, keys, params, g, n_steps):
     phi: (n,) float64 angles; keys: (n,) uint64 stream keys.  Lanes
     b*BATCH_SIZE .. (b+1)*BATCH_SIZE - 1 are batch b; the last may be
     ragged.  Every per-step operation writes with `out=` into a workspace
-    allocated once per call, and `streams.draws` fills buffers of its own, so
-    neither a step nor a chunk allocates a lane array.
+    allocated once per call or, for theta, over the step's normals in
+    `streams.draws`' buffer, so neither a step nor a chunk allocates a lane array.
     """
     phi = np.array(phi, dtype=np.float64, copy=True)
     keys = np.asarray(keys, dtype=np.uint64)
@@ -199,7 +198,6 @@ def _advance(phi, keys, params, g, n_steps):
     # s_x, s_z of the current angles: the next step's inputs and the stats
     sx = np.sin(phi)
     sz = np.cos(phi)
-    theta = np.empty(n)
     tmp = np.empty(n)  # scratch: the center, 1 + s_z - g, the squares
     mask = np.empty(n, dtype=bool)
 
@@ -212,10 +210,11 @@ def _advance(phi, keys, params, g, n_steps):
     record(0)
     for k0, k1, u, z in draws(keys, n_steps):
         for i, k in enumerate(range(k0, k1)):
+            theta = z[i]  # the step's normal, overwritten by its rotation
             # delta_n = center + alpha * z, center = mu where u < (1 + s_x) / 2
             # and -mu elsewhere.  The center is (u < ...) * 2 mu - mu, which
             # is exactly +-mu and needs no branch per lane.
-            np.multiply(z[i], alpha, out=theta)
+            np.multiply(theta, alpha, out=theta)
             np.add(sx, 1.0, out=tmp)
             np.multiply(tmp, 0.5, out=tmp)
             np.less(u[i], tmp, out=mask)

@@ -63,10 +63,10 @@ def raw_words(key, counters, out=None, scratch=None) -> np.ndarray:
     """Raw 64-bit output words at the given counter positions, into `out`
     (uint64, the broadcast shape of key and counters) with the mixing steps'
     shifted copies in `scratch` (same shape); each is fresh when None."""
-    c = np.asarray(counters, dtype=np.uint64)
+    state = np.asarray(counters, dtype=np.uint64) + np.uint64(1)
     with np.errstate(over="ignore"):
-        state = np.add(np.asarray(key, dtype=np.uint64), (c + np.uint64(1)) * _GOLDEN, out=out)
-    return _mix(state, scratch)
+        state *= _GOLDEN  # in place: one counter-shaped temporary
+        return _mix(np.add(np.asarray(key, dtype=np.uint64), state, out=out), scratch)
 
 
 def to_unit(words: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -93,44 +93,38 @@ def box_muller(u1: np.ndarray, u2: np.ndarray, out=None, scratch=None) -> np.nda
     return r
 
 
-# Upper bound on random words `draws` precomputes at once per word array.
-# That is a chunk of 8 steps at 4096 lanes (one engine batch) and of 2 steps
-# in a 4-batch slab: each of its buffers (two word planes, three float
-# planes) is 256 KiB, allocated once per call and refilled every chunk, so
-# they fit a 2 MiB L2 cache and a worker's memory does not grow with n_steps.
-# Much larger chunks stream tens of MB through memory and run slower.  Read
-# at call time; chunking never changes a value, since word k of a stream
-# depends only on (key, k).
-_WORD_BUDGET = 1 << 15
+# Upper bound on steps x lanes of one chunk of `draws`.  Its two buffers, the
+# counter plane and its mixing scratch, hold 3 words a lane-step: 384 KiB
+# each, allocated once per call, so they fit a 2 MiB L2 cache and memory does
+# not grow with n_steps.  That is 4 steps at 4096 lanes, 1 step in a 4-batch
+# slab and 16,384 steps at one lane, where the counters and raw_words'
+# temporary are as large again.  tracemalloc peaks (numpy 2.4): `draws` over
+# 100,000 steps at one lane 1.50 MiB, `engine._advance` over 50 steps 0.95
+# MiB at 4096 lanes and 1.33 MiB at 16,384.  Read at call time; word k
+# depends only on (key, k), not the chunk.
+_WORD_BUDGET = 1 << 14
 
 
 def draws(keys, n_steps):
     """Yield (k0, k1, u, z) over steps 0..n_steps-1 in chunks of at most
-    _WORD_BUDGET draws per word array, the last ragged: the uniforms u and
-    the normals z of steps k0..k1-1, shape (k1 - k0, lanes), one lane per
-    key.  Step k takes counters 3k (uniform) and 3k+1, 3k+2 (Box-Muller).
+    _WORD_BUDGET lane-steps, the last ragged: the uniforms u and normals z
+    of steps k0..k1-1, contiguous, shape (k1 - k0, lanes), one lane per key.
 
-    Every chunk is written in place into buffers allocated once per call:
-    uint64 words and their mixing scratch, and float64 Box-Muller uniforms
-    (the first plane ends up holding the normals) and uniforms.  u and z are
-    views of them, valid until the next chunk.
+    A chunk is one (3, steps, lanes) plane of words in a buffer allocated
+    once per call: plane j holds counter 3k + j of step k, and the uniforms
+    and normals are written over planes 0 and 1.  The caller may overwrite
+    u and z until it asks for the next chunk.
     """
     lanes = len(keys)
     chunk = max(1, min(n_steps, _WORD_BUDGET // lanes))
-    words, scratch = np.empty((2, chunk, lanes), dtype=np.uint64)
-    floats = np.empty((3, chunk, lanes))
+    plane, scratch = np.empty((2, 3, chunk, lanes), dtype=np.uint64)
     for k0 in range(0, n_steps, chunk):
         k1 = min(n_steps, k0 + chunk)
-        w, s, f = words[: k1 - k0], scratch[: k1 - k0], floats[:, : k1 - k0]
-        base = (np.arange(k0, k1, dtype=np.uint64) * np.uint64(3))[:, None]
-
-        def unit(offset, out):
-            raw_words(keys, base + np.uint64(offset), out=w, scratch=s)
-            return to_unit(w, out=out, scratch=w)
-
-        u = unit(0, f[2])
-        z = box_muller(unit(1, f[0]), unit(2, f[1]), out=f[0], scratch=f[1])
-        yield k0, k1, u, z
+        w, s = plane[:, : k1 - k0], scratch[:, : k1 - k0]
+        counters = np.arange(3 * k0, 3 * k1, dtype=np.uint64).reshape(-1, 3).T[:, :, None]
+        raw_words(keys, counters, out=w, scratch=s)
+        f = to_unit(w, out=w.view(np.float64), scratch=s)
+        yield k0, k1, f[0], box_muller(f[1], f[2], out=f[1], scratch=f[2])
 
 
 class CounterStream:

@@ -138,21 +138,26 @@ def decay_svg(result: EnsembleResult) -> str:
     return _svg(640, 420, body)
 
 
-def histogram_svg(records: np.ndarray, bins: int, alpha: float) -> str:
+def histogram_svg(records: np.ndarray, bins: int, alpha: float, law=None) -> str:
     """Histogram of `records` in `bins` equal bins on [-5 alpha, 5 alpha]
-    with the weak-field Gaussian overlaid.  Densities are normalised by the
-    count of all records, so records outside the range lower every bin.
-    SimParams refuses an alpha whose range width 10 alpha is not finite."""
+    with the density of the law that drew them overlaid: `law`, a function
+    of the record, for conditional records, else the weak-field Gaussian,
+    which under `law` stays as a dashed, labelled reference line.
+    Densities are normalised by the count of all records, so records
+    outside the range lower every bin.  SimParams refuses an alpha whose
+    range width 10 alpha is not finite."""
     counts, edges = np.histogram(records, bins, range=(-5.0 * alpha, 5.0 * alpha))
     widths = np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     # bins of a tiny alpha are so narrow that the densities overflow
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         density = counts / (len(records) * widths)
-        ref = pdf_vacuum(centers, alpha)
-    if not (np.all(np.isfinite(density)) and np.all(np.isfinite(ref))):
+        curves = {"vacuum": pdf_vacuum(centers, alpha)}
+        if law is not None:  # drawn first; the vacuum law stays as a reference
+            curves = {"conditional": law(centers), **curves}
+    if not all(np.all(np.isfinite(a)) for a in (density, *curves.values())):
         raise ValueError(f"non-finite histogram density: alpha = {alpha:g} is too small")
-    ymax = max(float(density.max(initial=0.0)), float(ref.max())) or 1.0
+    ymax = max(float(density.max(initial=0.0)), *(float(c.max()) for c in curves.values())) or 1.0
     sx, sy, body = _plot(edges[0], edges[-1], 0.0, 1.05 * ymax)
     for left, w, d in zip(edges[:-1], widths, density):
         body.append(
@@ -160,9 +165,14 @@ def histogram_svg(records: np.ndarray, bins: int, alpha: float) -> str:
             f'width="{_f((_X1 - _X0) * w / (edges[-1] - edges[0]))}" height="{_f(_Y1 - sy(d))}" '
             'fill="lightgray" stroke="gray" stroke-width="0.5"/>\n'
         )
-    line = " ".join(f"{_f(sx(c))},{_f(sy(p))}" for c, p in zip(centers, ref))
-    body.append(
-        f'<polyline class="vacuum-pdf" points="{line}" fill="none" '
-        'stroke="crimson" stroke-width="1.5"/>\n'
-    )
+    styles = ('stroke="crimson" stroke-width="1.5"', 'stroke="gray" stroke-dasharray="4,3"')
+    for style, (name, pdf) in zip(styles, curves.items()):
+        line = " ".join(f"{_f(sx(c))},{_f(sy(p))}" for c, p in zip(centers, pdf))
+        body.append(f'<polyline class="{name}-pdf" points="{line}" fill="none" {style}/>\n')
+    if law is not None:
+        body.append(
+            f'<text class="legend" x="{_f(_X1 - 5)}" y="{_f(_Y0 + 15)}" text-anchor="end" '
+            'font-family="sans-serif" font-size="12">'
+            "solid: conditional law; dashed: vacuum law</text>\n"
+        )
     return _svg(640, 420, body)

@@ -711,7 +711,7 @@ class TestOutputsPinned:
         "record-histogram-conditional": (
             ["figure", "--kind", "record-histogram", "--sampling", "conditional",
              "--initial", "dipole+", "--samples", "3000", "--seed", "9"],
-            "fd1c80ccd29440c19739ce3f0d175f6810518b57ee695707fab8511ca3a61a6f",
+            "1dd737c52779cfa2453d441e21a3533165a4e0bfec9dc992a5b243872a13b186",
         ),
     }
 
@@ -795,6 +795,33 @@ def test_output_above_physical_memory_exits_2(monkeypatch, tmp_path, capsys, arg
     assert len(err) == 1 and err[0].startswith("error: ")
     assert err[0].endswith("GiB RAM")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["simulate", "--steps", "3000", "--trajectories", "20000", "--out", "{missing}"],
+         "run_ensemble"),
+        (["simulate", "--out", "{tmp}/ens.csv", "--dump-trajectories", "{missing}"],
+         "run_ensemble"),
+        (["oracle", "--alpha", "6", "--out", "{missing}"], "delta_n_pmf"),
+        (["figure", "--kind", "decay", "--out", "{missing}"], "run_ensemble"),
+        (["figure", "--kind", "record-histogram", "--out", "{missing}"], "sample_records"),
+    ],
+    ids=["simulate", "simulate-dump", "oracle", "figure-decay", "figure-histogram"],
+)
+def test_missing_output_directory_fails_before_computing(
+    monkeypatch, tmp_path, capsys, argv, target
+):
+    # the error writing the output would raise, before the command computes
+    monkeypatch.setattr(cli, target, _unreachable)
+    missing = str(tmp_path / "nope" / "out.txt")
+    argv = [a.replace("{missing}", missing).replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"I/O error: [Errno 2] No such file or directory: {missing!r}"
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dumped_trajectory_counts_toward_the_size_rule(monkeypatch, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -431,7 +432,7 @@ class TestChunking:
             assert len(chunks) == expected_chunks
             return got
 
-        reference = run(5)  # 8-step chunks at BATCH_SIZE lanes
+        reference = run(10)  # 4-step chunks at BATCH_SIZE lanes
         # 1-step chunks, ragged 7-step chunks (40 = 5 * 7 + 5), one chunk
         for budget, expected_chunks in ((n, 40), (7 * n, 6), (steps * n, 1)):
             monkeypatch.setattr(streams, "_WORD_BUDGET", budget)
@@ -485,10 +486,14 @@ class TestBufferedDraws:
         chunks = []
         for k0, k1, u, z in streams.draws(keys, steps):
             chunks.append((k0, k1))
-            assert z.shape == (k1 - k0, n)
+            assert u.shape == z.shape == (k1 - k0, n)
+            assert u.flags.c_contiguous and z.flags.c_contiguous
             if k0 == 0:
-                first_z = z
-            assert np.shares_memory(z, first_z)  # one allocation per call
+                first_u, first_z = u, z
+            # one allocation per call, the counter plane and its scratch: u
+            # and z of every chunk are views of planes 0 and 1 in it
+            assert np.shares_memory(u, first_u) and np.shares_memory(z, first_z)
+            assert u.base is z.base is first_z.base
             self._check_chunk(keys, seed, k0, k1, u, z)
         assert chunks == expected
         assert list(streams.draws(keys, 0)) == []
@@ -509,6 +514,63 @@ class TestBufferedDraws:
         for j in (0, engine.BATCH_SIZE - 1, engine.BATCH_SIZE, n - 1):
             for i in range(k1 - k0):
                 assert (u[i, j], z[i, j]) == scalar_draw(stream_key(seed, j), k0 + i), (i, j)
+
+    def test_each_transform_runs_once_per_chunk(self, monkeypatch):
+        # the chunk's words are one plane, so raw_words, to_unit and
+        # box_muller each run once over it
+        calls = []
+        for name in ("raw_words", "to_unit", "box_muller"):
+            def counted(*args, _f=getattr(streams, name), _name=name, **kw):
+                calls.append(_name)
+                return _f(*args, **kw)
+
+            monkeypatch.setattr(streams, name, counted)
+        monkeypatch.setattr(streams, "_WORD_BUDGET", 3 * 64)
+        keys = stream_key(4, np.arange(64, dtype=np.uint64))
+        chunks = [k0 for k0, _, _, _ in streams.draws(keys, 8)]
+        assert chunks == [0, 3, 6]
+        assert calls == ["raw_words", "to_unit", "box_muller"] * 3
+
+    # tracemalloc peaks (MiB) of the five-buffer layout this plane replaced,
+    # whose five 256 KiB buffers also sat beside a theta lane array in the kernel
+    FIVE_BUFFER_PEAK_MIB = {1: 2.004, 4096: 1.479, 16384: 1.964}
+
+    @staticmethod
+    def _peak(run):
+        run()  # first-call allocations that later runs reuse
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("lanes", sorted(FIVE_BUFFER_PEAK_MIB))
+    def test_draw_memory_no_worse_at_any_width(self, lanes):
+        # draws over 100,000 steps at one lane, the kernel over 50 at a batch and a slab
+        keys = stream_key(1, np.arange(lanes, dtype=np.uint64))
+        if lanes == 1:
+            def run():
+                for _ in streams.draws(keys, 100_000):
+                    pass
+        else:
+            phi0 = np.zeros(lanes)
+
+            def run():
+                engine._advance(phi0, keys, PARAMS, 0.0, 50)
+        assert self._peak(run) <= self.FIVE_BUFFER_PEAK_MIB[lanes] * 2**20
+
+    def test_slab_holds_its_workspace_and_two_draw_buffers(self):
+        # a 16,384-lane slab draws one step a chunk: per lane, phi, s_x, s_z,
+        # tmp (8 B each) and the mask (1 B) beside the plane and its scratch
+        # (3 words each), and nothing more but numpy's ~64 KiB casting
+        # buffer; a theta lane array would add 128 KiB.  The bound, 1.39 MiB,
+        # is 29% below the five-buffer layout's 1.96 MiB.
+        n = 4 * engine.BATCH_SIZE
+        keys = stream_key(1, np.arange(n, dtype=np.uint64))
+        phi0 = np.zeros(n)
+        peak = self._peak(lambda: engine._advance(phi0, keys, PARAMS, 0.0, 50))
+        assert peak <= (4 * 8 + 1 + 2 * 3 * 8) * n + 2**17
 
     def test_advance_does_not_fault_per_chunk(self):
         # freed per-chunk draw arrays went back to the OS and faulted in
