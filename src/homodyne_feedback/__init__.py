@@ -11,7 +11,6 @@ from .bloch import (
     BlochState,
     SimParams,
     apply_rotation,
-    normalize_angle,
     rotation_angle,
 )
 from .engine import (
@@ -46,7 +45,6 @@ __all__ = [
     "SimParams",
     "apply_rotation",
     "rotation_angle",
-    "normalize_angle",
     "SamplingMode",
     "pdf_vacuum",
     "conditional_pdf",

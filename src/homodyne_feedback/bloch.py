@@ -21,17 +21,6 @@ WEAK_COUPLING_WARN = 0.01
 WEAK_COUPLING_MAX = 0.1
 
 
-def normalize_angle(phi: float) -> float:
-    """Reduce an angle to (-pi, pi].  Values already in range pass through
-    unchanged (bit-exact)."""
-    if -math.pi < phi <= math.pi:
-        return phi
-    r = math.remainder(phi, 2.0 * math.pi)
-    if r <= -math.pi:
-        r += 2.0 * math.pi
-    return r
-
-
 @dataclass(frozen=True)
 class BlochState:
     """Pure atomic state on the s_y = 0 great circle, stored as an angle."""
@@ -39,9 +28,16 @@ class BlochState:
     phi: float
 
     def __post_init__(self):
-        if not math.isfinite(self.phi):
+        # the package's one wrap of a given angle: an angle in (-pi, pi] is
+        # kept bit for bit, any other is reduced by 2 pi and its -pi end moved to +pi
+        phi = float(self.phi)
+        if not math.isfinite(phi):
             raise ValueError(f"phi must be finite, got {self.phi}")
-        object.__setattr__(self, "phi", normalize_angle(float(self.phi)))
+        if not -math.pi < phi <= math.pi:
+            phi = math.remainder(phi, 2.0 * math.pi)
+            if phi <= -math.pi:
+                phi += 2.0 * math.pi
+        object.__setattr__(self, "phi", phi)
 
     @property
     def s_x(self) -> float:
@@ -67,13 +63,6 @@ class BlochState:
     def dipole_minus(cls) -> "BlochState":
         return cls(-0.5 * math.pi)
 
-    @classmethod
-    def from_components(cls, s_x: float, s_z: float) -> "BlochState":
-        """State from (s_x, s_z); the pair is normalized onto the circle."""
-        if s_x == 0.0 and s_z == 0.0:
-            raise ValueError("(s_x, s_z) must not both be zero")
-        return cls(math.atan2(s_x, s_z))
-
 
 @dataclass(frozen=True)
 class SimParams:
@@ -88,9 +77,11 @@ class SimParams:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if not (self.tau > 0.0):
             raise ValueError(f"tau must be > 0, got {self.tau}")
+        gt = self.gamma * self.tau
+        if gt == 0.0:
+            raise ValueError(f"gamma*tau = {self.gamma:g}*{self.tau:g} underflows to 0")
         if not (0.0 < self.alpha < math.inf):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        gt = self.gamma * self.tau
         if gt > WEAK_COUPLING_MAX:
             raise ValueError(
                 f"gamma*tau = {gt:g} exceeds the weak-coupling cap {WEAK_COUPLING_MAX}"
@@ -131,7 +122,6 @@ def rotation_angle(s_z, delta_n, params: SimParams, gain: float = 0.0):
 
 
 def apply_rotation(state: BlochState, theta: float) -> BlochState:
-    """Rotate the state by theta around the y-axis (exact, purity-preserving)."""
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    return BlochState(normalize_angle(state.phi + theta))
+    """Rotate the state by theta around the y-axis (exact, purity-preserving);
+    a non-finite theta makes a non-finite angle, which BlochState refuses."""
+    return BlochState(state.phi + theta)

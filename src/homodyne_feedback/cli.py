@@ -127,15 +127,23 @@ def effective(args, spec: dict[str, tuple]):
         if flag_value is not None:
             out[key] = flag_value
         elif key in file_values:
-            out[key] = conv(file_values[key])
+            try:
+                out[key] = conv(file_values[key])
+            except ValueError as exc:
+                raise FlagError(f"{args.config}: bad value for {key!r}: {exc}") from exc
         else:
             out[key] = default
     if out["out"] is None:
         raise FlagError("--out is required")
-    # raised before any work, as writing would; the oracle's summary sits beside --out
-    for path in filter(None, (out["out"], out.get("dump-trajectories"))):
-        if not os.path.isdir(os.path.dirname(path) or "."):
+    # raised before any work, as opening the path to write would; the oracle's
+    # summary sits beside --out
+    for path in (out["out"], out.get("dump-trajectories")):
+        if path is None:
+            continue
+        if not path or not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     return out
 
 

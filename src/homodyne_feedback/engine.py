@@ -137,22 +137,19 @@ class EnsembleResult:
 
 
 def sim_threads() -> int:
-    """Worker cap from SIM_THREADS (positive integer), else hardware default."""
+    """Worker cap: SIM_THREADS (a positive integer; by default the CPU count),
+    capped at the CPU count, or 1 where that is unknown."""
+    cpus = os.cpu_count() or 1
     raw = os.environ.get("SIM_THREADS")
     if raw is None:
-        return _hardware_threads()
+        return cpus
     try:
         n = int(raw)
     except ValueError:
         n = 0
     if n < 1:
         raise ValueError(f"SIM_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
-def _hardware_threads() -> int:
-    """The CPU count, or 1 where it is unknown."""
-    return os.cpu_count() or 1
+    return min(n, cpus)
 
 
 def check_gain(g: float) -> float:
@@ -302,7 +299,7 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     """
     n = config.n_trajectories
     bounds = [(i, min(i + BATCH_SIZE, n)) for i in range(0, n, BATCH_SIZE)]
-    workers = min(sim_threads(), _hardware_threads(), len(bounds))
+    workers = min(sim_threads(), len(bounds))
     width = min(SLAB_BATCHES, -(-len(bounds) // workers))
     slabs = [bounds[i : i + width] for i in range(0, len(bounds), width)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

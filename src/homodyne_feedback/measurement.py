@@ -89,16 +89,13 @@ def bayes_dipole_update(
     Weights are updated by the component likelihoods G(delta_n; +/-mu, alpha^2);
     with t = tanh(delta_n * sqrt(gamma*tau) / alpha) this gives
     s_x' = (s_x + t) / (1 + s_x*t).  s_z is restored to the circle in the same
-    hemisphere (an infinitesimal update cannot cross the equator); if s_z is
-    exactly 0 the state is a dipole eigenstate and is unchanged.
+    hemisphere (an infinitesimal update cannot cross the equator).  A dipole
+    eigenstate is unchanged: its s_z, the cosine of +-pi/2 as a double, is
+    6.1e-17, never 0, and its sx_new is +-1 exactly.
     """
     x = delta_n * math.sqrt(params.gamma_tau) / params.alpha
     t = math.tanh(x)
     sx = state.s_x
     sx_new = (sx + t) / (1.0 + sx * t)
-    sz = state.s_z
-    if sz == 0.0:
-        # dipole eigenstate: sx_new is +/-1 exactly, phi is unchanged
-        return BlochState(math.copysign(0.5 * math.pi, sx_new))
-    sz_new = math.copysign(math.sqrt(max(0.0, 1.0 - sx_new * sx_new)), sz)
-    return BlochState.from_components(sx_new, sz_new)
+    sz_new = math.copysign(math.sqrt(max(0.0, 1.0 - sx_new * sx_new)), state.s_z)
+    return BlochState(math.atan2(sx_new, sz_new))

@@ -68,6 +68,18 @@ def test_harness_detects_injected_gain_error(monkeypatch):
     assert not validation.check_fixed_points().passed
 
 
+def test_crashed_check_is_a_failed_check(monkeypatch):
+    def check_crashes():
+        raise RuntimeError("boom")
+
+    passing = validation.CheckResult("stub criterion", True, "detail")
+    monkeypatch.setattr(validation, "CHECKS", [check_crashes, lambda: passing])
+    assert validation.run_all() == [
+        validation.CheckResult("check_crashes", False, "error: RuntimeError('boom')"),
+        passing,
+    ]
+
+
 MOMENTS = ("mean_sx", "mean_sz", "var_sx", "var_sz")
 
 

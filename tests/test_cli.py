@@ -306,6 +306,27 @@ class TestConfigFile:
             ["simulate", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("steps 10\n", "{cfg}:1: expected key=value, got 'steps 10'"),
+            ("steps=abc\n",
+             "{cfg}: bad value for 'steps': invalid literal for int() with base 10: 'abc'"),
+            ("seed=1\ngamma=fast\n",
+             "{cfg}: bad value for 'gamma': could not convert string to float: 'fast'"),
+        ],
+        ids=["no-equals", "int", "float"],
+    )
+    def test_unreadable_line_exits_2_naming_file_and_key(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "a.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + message.replace("{cfg}", str(cfg))
+        ]
+        assert not out.exists()
+
 
 class TestOracle:
     def test_vacuum_alpha_two(self, tmp_path):
@@ -433,6 +454,33 @@ class TestOracle:
 def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "x")]) == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no output, and no oracle summary
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simulate", "--initial", "phi:abc"],
+         "bad initial angle in 'phi:abc': could not convert string to float: 'abc'"),
+        (["simulate", "--initial", "sideways"], "unknown initial state 'sideways'"),
+        (["simulate", "--format", "xml"], "unknown format 'xml'"),
+        (["simulate", "--gamma", "1e-308", "--tau", "1e305", "--steps", "10000"],
+         "n_steps * tau must be finite"),
+        (["simulate", "--gamma", "1e-200", "--tau", "1e-200"],
+         "gamma*tau = 1e-200*1e-200 underflows to 0"),
+        (["figure", "--kind", "record-histogram", "--sampling", "both"],
+         "unknown sampling mode 'both'"),
+        (["oracle", "--source", "coherent:1"], "coherent source needs RE,IM: 'coherent:1'"),
+        (["oracle", "--source", "qubit:1,0,0"],
+         "qubit source needs C0RE,C0IM,C1RE,C1IM: 'qubit:1,0,0'"),
+        (["oracle", "--source", "thermal"], "unknown source 'thermal'"),
+    ],
+    ids=["initial-angle", "initial-name", "format", "run-time", "gamma-tau", "sampling",
+         "coherent", "qubit", "source"],
+)
+def test_invalid_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert list(tmp_path.iterdir()) == []  # no output, and no oracle summary
 
 
@@ -797,30 +845,43 @@ def test_output_above_physical_memory_exits_2(monkeypatch, tmp_path, capsys, arg
     assert not out.exists()
 
 
+# command -> (argv with {bad} where the unusable output path goes, the
+# entry point that computes the output)
+_WRITERS = {
+    "simulate": (["simulate", "--steps", "3000", "--trajectories", "20000", "--out", "{bad}"],
+                 "run_ensemble"),
+    "simulate-dump": (["simulate", "--out", "{tmp}/ens.csv", "--dump-trajectories", "{bad}"],
+                      "run_ensemble"),
+    "oracle": (["oracle", "--alpha", "6", "--out", "{bad}"], "delta_n_pmf"),
+    "figure-decay": (["figure", "--kind", "decay", "--out", "{bad}"], "run_ensemble"),
+    "figure-histogram": (["figure", "--kind", "record-histogram", "--out", "{bad}"],
+                         "sample_records"),
+}
+# id suffix -> (an output path no file can be opened at, the error open raises)
+_UNUSABLE_OUTPUTS = {
+    "": ("{tmp}/nope/out.txt", "[Errno 2] No such file or directory"),
+    "-empty": ("", "[Errno 2] No such file or directory"),
+    "-directory": ("{tmp}", "[Errno 21] Is a directory"),
+}
+
+
 @pytest.mark.parametrize(
-    "argv,target",
+    "argv,target,bad,error",
     [
-        (["simulate", "--steps", "3000", "--trajectories", "20000", "--out", "{missing}"],
-         "run_ensemble"),
-        (["simulate", "--out", "{tmp}/ens.csv", "--dump-trajectories", "{missing}"],
-         "run_ensemble"),
-        (["oracle", "--alpha", "6", "--out", "{missing}"], "delta_n_pmf"),
-        (["figure", "--kind", "decay", "--out", "{missing}"], "run_ensemble"),
-        (["figure", "--kind", "record-histogram", "--out", "{missing}"], "sample_records"),
+        pytest.param(argv, target, bad, error, id=command + suffix)
+        for command, (argv, target) in _WRITERS.items()
+        for suffix, (bad, error) in _UNUSABLE_OUTPUTS.items()
     ],
-    ids=["simulate", "simulate-dump", "oracle", "figure-decay", "figure-histogram"],
 )
 def test_missing_output_directory_fails_before_computing(
-    monkeypatch, tmp_path, capsys, argv, target
+    monkeypatch, tmp_path, capsys, argv, target, bad, error
 ):
-    # the error writing the output would raise, before the command computes
+    # the error opening the output would raise, before the command computes
     monkeypatch.setattr(cli, target, _unreachable)
-    missing = str(tmp_path / "nope" / "out.txt")
-    argv = [a.replace("{missing}", missing).replace("{tmp}", str(tmp_path)) for a in argv]
+    bad = bad.replace("{tmp}", str(tmp_path))
+    argv = [a.replace("{bad}", bad).replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 3
-    assert capsys.readouterr().err.splitlines() == [
-        f"I/O error: [Errno 2] No such file or directory: {missing!r}"
-    ]
+    assert capsys.readouterr().err.splitlines() == [f"I/O error: {error}: {bad!r}"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -346,6 +346,17 @@ class TestRunEnsemble:
         for name in MOMENTS:
             assert np.array_equal(getattr(results["10000"], name), getattr(results["1"], name))
 
+    @pytest.mark.parametrize(
+        "env,cpus,threads", [(None, 4, 4), ("3", 4, 3), ("10000", 2, 2), (None, None, 1)]
+    )
+    def test_sim_threads_capped_at_cpu_count(self, monkeypatch, env, cpus, threads):
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        if env is None:
+            monkeypatch.delenv("SIM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SIM_THREADS", env)
+        assert engine.sim_threads() == threads
+
     # sha256 of the float64 bytes of mean, var and stderr (s_x, s_z each)
     PINNED = "13208a33268eba22ad135c07b8219784db1ca913e6f7909afa30ba630031f820"
 
@@ -713,8 +724,9 @@ def test_engine_runs_under_numpy_default_error_state():
 
 def test_engine_wraps_by_one_turn():
     # RunConfig bounds a step's rotation below 2 pi, so one turn wraps every
-    # angle the kernel and the stepper compute; a full reduction is dead code
-    assert "normalize_angle" not in _engine_calls()
+    # angle the kernel and the stepper compute; a full reduction (remainder,
+    # or BlochState's wrap of a given angle) is dead code
+    assert not {"remainder", "BlochState"} & _engine_calls()
 
 
 class TestRunConfigValidation:

@@ -87,6 +87,10 @@ class TestSourceSpec:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make()
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown source kind 'thermal'$"):
+            SourceSpec("thermal")
+
 
 class TestBeamsplitter:
     def test_all_vacuum(self):
@@ -382,6 +386,12 @@ class TestGaussianDistance:
         outside = max(0.0, 1.0 - float(np.sum(q)))
         ref = 0.5 * (float(np.sum(np.abs(pmf.probabilities - q))) + outside)
         assert gaussian_distance(pmf, alpha) == ref
+
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, math.nan])
+    def test_alpha_must_be_positive(self, alpha):
+        pmf = delta_n_pmf(2.0, SourceSpec.vacuum())
+        with pytest.raises(ValueError, match=f"^alpha must be > 0, got {alpha}$"):
+            gaussian_distance(pmf, alpha)
 
     def test_weak_field_convergence(self):
         tv6 = gaussian_distance(delta_n_pmf(6.0, SourceSpec.vacuum()), 6.0)
