@@ -9,6 +9,7 @@ underflow or lose norm (the oracle sizes its truncation from --alpha and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -20,7 +21,9 @@ import numpy as np
 
 from .analysis import drift_field
 from .bloch import BlochState, SimParams
-from .engine import BATCH_SIZE, RunConfig, check_gain, run_ensemble, run_trajectory_arrays
+from .engine import (
+    BATCH_SIZE, EnsembleResult, RunConfig, check_gain, run_ensemble, run_trajectory_arrays,
+)
 from .fock import CutoffError, SourceSpec, delta_n_pmf, gaussian_distance, skellam_pmf
 from .measurement import SamplingMode, conditional_pdf, sample_records
 from .streams import CounterStream
@@ -78,20 +81,27 @@ def parse_sampling(text: str) -> SamplingMode:
         raise FlagError(f"unknown sampling mode {text!r}") from exc
 
 
+def _amplitudes(text: str, names: str) -> list[complex]:
+    """The complex amplitudes of the --source value `kind:names`, each given
+    as its real and imaginary part."""
+    kind, _, values = text.partition(":")
+    parts = values.split(",")
+    if len(parts) != names.count(",") + 1:
+        raise FlagError(f"{kind} source needs {names}: {text!r}")
+    try:
+        v = [float(p) for p in parts]
+    except ValueError as exc:
+        raise FlagError(f"bad source amplitude in {text!r}: {exc}") from exc
+    return [complex(re, im) for re, im in zip(v[::2], v[1::2])]
+
+
 def parse_source(text: str) -> SourceSpec:
     if text == "vacuum":
         return SourceSpec.vacuum()
     if text.startswith("coherent:"):
-        parts = text[len("coherent:"):].split(",")
-        if len(parts) != 2:
-            raise FlagError(f"coherent source needs RE,IM: {text!r}")
-        return SourceSpec.coherent(complex(float(parts[0]), float(parts[1])))
+        return SourceSpec.coherent(*_amplitudes(text, "RE,IM"))
     if text.startswith("qubit:"):
-        parts = text[len("qubit:"):].split(",")
-        if len(parts) != 4:
-            raise FlagError(f"qubit source needs C0RE,C0IM,C1RE,C1IM: {text!r}")
-        v = [float(p) for p in parts]
-        return SourceSpec.qubit(complex(v[0], v[1]), complex(v[2], v[3]))
+        return SourceSpec.qubit(*_amplitudes(text, "C0RE,C0IM,C1RE,C1IM"))
     raise FlagError(f"unknown source {text!r}")
 
 
@@ -164,11 +174,8 @@ _SIM_SPEC = {
     **_RUN_SPEC, "format": (str, "csv"), "out": (str, None), "dump-trajectories": (str, None),
 }
 
-# Stats columns after "step": output name -> EnsembleResult attribute.
-_STATS_COLUMNS = {
-    "time": "time", "mean_sx": "mean_sx", "mean_sz": "mean_sz", "var_sx": "var_sx",
-    "var_sz": "var_sz", "se_sx": "stderr_sx", "se_sz": "stderr_sz",
-}
+# Stats columns after "step": EnsembleResult's fields, by name.
+_STATS_COLUMNS = tuple(f.name for f in dataclasses.fields(EnsembleResult))
 CSV_HEADER = ",".join(["step", *_STATS_COLUMNS])
 
 
@@ -244,7 +251,7 @@ def cmd_simulate(args) -> int:
         raise FlagError(f"unknown format {values['format']!r}")
     config = _run_config(values)
     result = run_ensemble(config)
-    columns = [getattr(result, attr) for attr in _STATS_COLUMNS.values()]
+    columns = [getattr(result, name) for name in _STATS_COLUMNS]
     # written as encoded, never held as one whole text, so _ROW_BYTES bounds a step
     with open(values["out"], "w") as f:
         if values["format"] == "csv":

@@ -102,10 +102,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Per-step moment statistics over an ensemble (step 0 = initial state).
+    """Per-step moment statistics over an ensemble (step 0 = initial state):
+    the columns `hdsim simulate` writes after "step", named as its fields.
 
-    Variances are population variances; stderr = sqrt(var / (n - 1)) for
-    n > 1 and 0 for a single trajectory.
+    Variances are population variances; se = sqrt(var / (n - 1)) for n > 1
+    and 0 for a single trajectory.
     """
 
     time: np.ndarray
@@ -113,26 +114,24 @@ class EnsembleResult:
     mean_sz: np.ndarray
     var_sx: np.ndarray
     var_sz: np.ndarray
-    stderr_sx: np.ndarray
-    stderr_sz: np.ndarray
-    config: RunConfig
+    se_sx: np.ndarray
+    se_sz: np.ndarray
 
     @classmethod
-    def from_sums(cls, sums: np.ndarray, n: int, config: RunConfig) -> "EnsembleResult":
+    def from_sums(cls, sums: np.ndarray, n: int, tau: float) -> "EnsembleResult":
         """Moments of n trajectories from their per-step sums of
-        (s_x, s_x^2, s_z, s_z^2), shape (n_steps + 1, 4)."""
+        (s_x, s_x^2, s_z, s_z^2), shape (n_steps + 1, 4), steps tau apart."""
         mean = sums[:, 0::2] / n
         var = np.maximum(sums[:, 1::2] / n - mean**2, 0.0)
-        stderr = np.sqrt(var / (n - 1)) if n > 1 else np.zeros_like(var)
+        se = np.sqrt(var / (n - 1)) if n > 1 else np.zeros_like(var)
         return cls(
-            time=np.arange(len(sums)) * config.params.tau,
+            time=np.arange(len(sums)) * tau,
             mean_sx=mean[:, 0],
             mean_sz=mean[:, 1],
             var_sx=var[:, 0],
             var_sz=var[:, 1],
-            stderr_sx=stderr[:, 0],
-            stderr_sz=stderr[:, 1],
-            config=config,
+            se_sx=se[:, 0],
+            se_sz=se[:, 1],
         )
 
 
@@ -278,17 +277,6 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
 run_trajectory = run_trajectory_arrays
 
 
-def _slab_sums(config: RunConfig, batches) -> np.ndarray:
-    """Per-batch sums of consecutive batches (i0, i1), advanced as one slab."""
-    # one key derivation per batch, so traced runs count batches by its calls
-    keys = np.concatenate(
-        [stream_key(config.seed, np.arange(i0, i1, dtype=np.uint64)) for i0, i1 in batches]
-    )
-    phi0 = np.full(len(keys), config.initial.phi)
-    _, sums = _advance(phi0, keys, config.params, config.gain, config.n_steps)
-    return sums
-
-
 def run_ensemble(config: RunConfig) -> EnsembleResult:
     """Moment statistics over independent trajectories.
 
@@ -302,10 +290,18 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     workers = min(sim_threads(), len(bounds))
     width = min(SLAB_BATCHES, -(-len(bounds) // workers))
     slabs = [bounds[i : i + width] for i in range(0, len(bounds), width)]
+
+    def slab_sums(slab):
+        # one key derivation per batch, so traced runs count batches by its calls
+        keys = np.concatenate(
+            [stream_key(config.seed, np.arange(i0, i1, dtype=np.uint64)) for i0, i1 in slab]
+        )
+        phi0 = np.full(len(keys), config.initial.phi)
+        return _advance(phi0, keys, config.params, config.gain, config.n_steps)[1]
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        slab_sums = list(pool.map(lambda slab: _slab_sums(config, slab), slabs))
-    batch_sums = [s for sums in slab_sums for s in sums]
+        batch_sums = [s for sums in pool.map(slab_sums, slabs) for s in sums]
     total = batch_sums[0]
     for s in batch_sums[1:]:  # fixed reduction order
         total = total + s
-    return EnsembleResult.from_sums(total, n, config)
+    return EnsembleResult.from_sums(total, n, config.params.tau)

@@ -92,9 +92,6 @@ class FockField:
 
     amplitudes: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
 
 @dataclass(frozen=True)
 class Pmf:
@@ -126,20 +123,14 @@ def default_cutoff(alpha: float) -> int:
     return max(20, int(math.ceil(alpha * alpha + 10.0 * alpha + 20.0)))
 
 
-def coherent_amplitudes(gamma: complex, n_max: int) -> np.ndarray:
-    """Fock amplitudes of |gamma> up to photon number n_max."""
-    amps = np.empty(n_max + 1, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(gamma) ** 2)
-    for n in range(1, n_max + 1):
-        amps[n] = amps[n - 1] * gamma / math.sqrt(n)
-    return amps
-
-
 def _coherent(gamma: complex) -> np.ndarray:
     """Fock amplitudes of |gamma> up to default_cutoff(|gamma|); raises
     CutoffError when they leak more than 1e-10 of the norm."""
     n_max = default_cutoff(abs(gamma))
-    amps = coherent_amplitudes(gamma, n_max)
+    amps = np.empty(n_max + 1, dtype=complex)
+    amps[0] = math.exp(-0.5 * abs(gamma) ** 2)
+    for n in range(1, n_max + 1):
+        amps[n] = amps[n - 1] * gamma / math.sqrt(n)
     leak = 1.0 - float(np.sum(np.abs(amps) ** 2))
     if leak > 1e-10:
         raise CutoffError(f"cutoff {n_max} leaves leakage {leak:g} at |gamma| = {abs(gamma):g}")
@@ -251,9 +242,8 @@ def beamsplitter_output(lo_alpha: float, source: SourceSpec) -> FockField:
         for k, diagonal in enumerate(diagonals, k0):
             m = np.arange(max(k, 0), max(k, 0) + len(diagonal))
             out[m, m - k] = diagonal
-    field = FockField(out)
-    _check_norm(field.norm())
-    return field
+    _check_norm(float(np.sum(np.abs(out) ** 2)))
+    return FockField(out)
 
 
 def delta_n_pmf(lo_alpha: float, source: SourceSpec) -> Pmf:

@@ -118,8 +118,8 @@ def decay_svg(result: EnsembleResult) -> str:
     """Mean inversion versus time with a standard-error band."""
     t = result.time
     sx, sy, body = _plot(0.0, float(t[-1]) if t[-1] > 0 else 1.0, -1.0, 1.0)
-    lo = np.clip(result.mean_sz - result.stderr_sz, -1.0, 1.0)
-    hi = np.clip(result.mean_sz + result.stderr_sz, -1.0, 1.0)
+    lo = np.clip(result.mean_sz - result.se_sz, -1.0, 1.0)
+    hi = np.clip(result.mean_sz + result.se_sz, -1.0, 1.0)
     band = [f"{_f(sx(tv))},{_f(sy(v))}" for tv, v in zip(t, hi)]
     band += [f"{_f(sx(tv))},{_f(sy(v))}" for tv, v in zip(t[::-1], lo[::-1])]
     line = " ".join(f"{_f(sx(tv))},{_f(sy(v))}" for tv, v in zip(t, result.mean_sz))

@@ -77,7 +77,7 @@ def check_drift_anchors() -> CheckResult:
             case_ok = drift == 0.0
             details.append(f"ground: drift = {drift:g} (exact 0 required)")
         else:
-            tol = 3.0 * res.stderr_sz[1] / tau
+            tol = 3.0 * res.se_sz[1] / tau
             case_ok = abs(drift - target) <= tol
             details.append(
                 f"s_z={initial.s_z:+.0f}: drift {drift:+.4f} vs {target:+.1f} "

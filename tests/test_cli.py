@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import homodyne_feedback
-from homodyne_feedback import cli, validation
+from homodyne_feedback import EnsembleResult, cli, validation
 from homodyne_feedback.cli import CSV_HEADER, TRAJ_HEADER, main
 from homodyne_feedback.svgfig import histogram_svg
 
@@ -474,14 +476,54 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
         (["oracle", "--source", "qubit:1,0,0"],
          "qubit source needs C0RE,C0IM,C1RE,C1IM: 'qubit:1,0,0'"),
         (["oracle", "--source", "thermal"], "unknown source 'thermal'"),
+        (["oracle", "--source", "coherent:x,0"],
+         "bad source amplitude in 'coherent:x,0': could not convert string to float: 'x'"),
+        (["oracle", "--source", "qubit:1,0,0,y"],
+         "bad source amplitude in 'qubit:1,0,0,y': could not convert string to float: 'y'"),
     ],
     ids=["initial-angle", "initial-name", "format", "run-time", "gamma-tau", "sampling",
-         "coherent", "qubit", "source"],
+         "coherent", "qubit", "source", "coherent-amplitude", "qubit-amplitude"],
 )
 def test_invalid_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
     assert main([*argv, "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert list(tmp_path.iterdir()) == []  # no output, and no oracle summary
+
+
+def _pythonpath():
+    """PYTHONPATH for a child interpreter that imports this package's source."""
+    src = str(Path(homodyne_feedback.__file__).resolve().parents[1])
+    return os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+
+def test_console_run_exits_with_main_code(tmp_path):
+    # `python -m homodyne_feedback.cli` and the installed `hdsim` script
+    # both end in entrypoint, which exits with main's return code
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "homodyne_feedback.cli", "simulate", "--format", "xml",
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=_pythonpath()), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: unknown format 'xml'"]
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stats_header_is_ensemble_result_fields():
+    # one name per statistic: the columns after "step" are EnsembleResult's
+    # field names, and the benchmark checks its outputs against the same header
+    fields = [f.name for f in dataclasses.fields(EnsembleResult)]
+    assert CSV_HEADER.split(",") == ["step", *fields]
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    stats_header = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(workloads.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["STATS_HEADER"]
+    )
+    assert CSV_HEADER == stats_header
 
 
 def fixed_point_centers(svg_text):
@@ -981,12 +1023,10 @@ class TestImportCost:
     # oracle check.
     @staticmethod
     def scipy_modules(code):
-        src = str(Path(homodyne_feedback.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         code += "; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         proc = subprocess.run(
             [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=path),
+            env=dict(os.environ, PYTHONPATH=_pythonpath()),
             capture_output=True, text=True, check=True,
         )
         return proc.stdout.strip().splitlines()[-1]

@@ -52,7 +52,7 @@ def kernel(config, n_lanes):
     return final, sums
 
 
-MOMENTS = ("mean_sx", "mean_sz", "var_sx", "var_sz", "stderr_sx", "stderr_sz")
+MOMENTS = ("mean_sx", "mean_sz", "var_sx", "var_sz", "se_sx", "se_sz")
 
 
 def scalar_draw(key, k):
@@ -226,7 +226,7 @@ class TestRunEnsemble:
         config = make_config(n_steps=1, n_trajectories=100_000, seed=31)
         res = run_ensemble(config)
         drift = (res.mean_sz[1] - res.mean_sz[0]) / PARAMS.tau
-        tol = 3.0 * res.stderr_sz[1] / PARAMS.tau
+        tol = 3.0 * res.se_sz[1] / PARAMS.tau
         assert drift == pytest.approx(-2.0, abs=tol)
 
     def test_one_step_drift_from_dipole(self):
@@ -235,7 +235,7 @@ class TestRunEnsemble:
         )
         res = run_ensemble(config)
         drift = (res.mean_sz[1] - res.mean_sz[0]) / PARAMS.tau
-        tol = 3.0 * res.stderr_sz[1] / PARAMS.tau
+        tol = 3.0 * res.se_sz[1] / PARAMS.tau
         assert drift == pytest.approx(-1.0, abs=tol)
 
     def test_moment_invariants(self):
@@ -245,23 +245,23 @@ class TestRunEnsemble:
         assert np.all(np.abs(res.mean_sx) <= 1.0)
         assert np.all(np.abs(res.mean_sz) <= 1.0)
         assert res.time[0] == 0.0
-        assert res.time[-1] == pytest.approx(res.config.n_steps * PARAMS.tau)
+        assert res.time[-1] == pytest.approx((len(res.time) - 1) * PARAMS.tau)
 
     def test_single_trajectory_zero_variance(self):
         res = run_ensemble(make_config(n_steps=20, n_trajectories=1, seed=60))
-        for name in ("var_sx", "var_sz", "stderr_sx", "stderr_sz"):
+        for name in ("var_sx", "var_sz", "se_sx", "se_sz"):
             assert np.all(getattr(res, name) == 0.0), name
 
     def test_identical_trajectories_zero_stderr(self):
         config = make_config(n_steps=20, n_trajectories=1, seed=61)
         row = history_sums(config.initial.phi, run_trajectory_arrays(config, 0)[2])
-        res = EnsembleResult.from_sums(row + row + row, 3, config)
+        res = EnsembleResult.from_sums(row + row + row, 3, config.params.tau)
         # the sum-of-squares variance formula leaves rounding noise of order
         # eps in the variance and so of order sqrt(eps) in the standard error
         noise = 4.0 * np.finfo(float).eps
-        for var, stderr in ((res.var_sx, res.stderr_sx), (res.var_sz, res.stderr_sz)):
+        for var, se in ((res.var_sx, res.se_sx), (res.var_sz, res.se_sz)):
             assert np.all(var <= noise)
-            assert np.all(stderr <= math.sqrt(noise / 2))
+            assert np.all(se <= math.sqrt(noise / 2))
 
     def test_matches_moments_of_stepper_rows(self):
         # one batch: the kernel sums each step's 40 lanes as one contiguous
@@ -275,7 +275,7 @@ class TestRunEnsemble:
         angles[1:] = phi.T
         sx, sz = np.sin(angles), np.cos(angles)
         sums = np.stack([sx.sum(1), (sx * sx).sum(1), sz.sum(1), (sz * sz).sum(1)], axis=1)
-        rebuilt = EnsembleResult.from_sums(sums, 40, config)
+        rebuilt = EnsembleResult.from_sums(sums, 40, config.params.tau)
         direct = run_ensemble(config)
         for name in ("time", *MOMENTS):
             assert np.array_equal(getattr(direct, name), getattr(rebuilt, name)), name
@@ -289,7 +289,7 @@ class TestRunEnsemble:
     def test_monotone_relaxation_towards_ground(self):
         config = make_config(n_steps=500, n_trajectories=2000, seed=33)
         res = run_ensemble(config)
-        slack = 2.0 * (res.stderr_sz[:-1] + res.stderr_sz[1:])
+        slack = 2.0 * (res.se_sz[:-1] + res.se_sz[1:])
         assert np.all(np.diff(res.mean_sz) <= slack)
 
     def test_thread_count_does_not_change_result(self, monkeypatch):
@@ -327,14 +327,15 @@ class TestRunEnsemble:
             def map(self, fn, items):
                 return map(fn, items)
 
-        slab_sums = engine._slab_sums
+        advance = engine._advance
 
-        def counted(config, slab):
-            slabs.append(len(slab))
-            return slab_sums(config, slab)
+        def counted(*args):
+            phi, sums = advance(*args)
+            slabs.append(len(sums))  # one row of sums per batch of the slab
+            return phi, sums
 
         monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(engine, "_slab_sums", counted)
+        monkeypatch.setattr(engine, "_advance", counted)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
         config = make_config(n_trajectories=5 * engine.BATCH_SIZE + 123, n_steps=5, seed=6)
         results = {}
