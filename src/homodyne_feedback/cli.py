@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import drift_field
 from .bloch import BlochState, SimParams
 from .engine import (
     BATCH_SIZE, EnsembleResult, RunConfig, check_gain, run_ensemble, run_trajectory_arrays,
@@ -27,7 +26,6 @@ from .engine import (
 from .fock import CutoffError, SourceSpec, delta_n_pmf, gaussian_distance, skellam_pmf
 from .measurement import SamplingMode, conditional_pdf, sample_records
 from .streams import CounterStream
-from .svgfig import decay_svg, drift_field_svg, histogram_svg
 
 TRAJ_HEADER = "traj,step,time,phi,sx,sz,delta_n,theta"
 
@@ -335,6 +333,10 @@ _FIGURE_KINDS = {
 
 
 def cmd_figure(args) -> int:
+    # imported here: only this subcommand draws figures
+    from .analysis import drift_field
+    from .svgfig import decay_svg, drift_field_svg, histogram_svg
+
     file_values = read_config_file(args.config, set(_FIGURE_SPEC)) if args.config else {}
     kind = file_values.get("kind", "drift-field") if args.kind is None else args.kind
     if kind not in _FIGURE_KINDS:

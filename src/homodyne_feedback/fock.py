@@ -123,10 +123,15 @@ def default_cutoff(alpha: float) -> int:
     return max(20, int(math.ceil(alpha * alpha + 10.0 * alpha + 20.0)))
 
 
-def _coherent(gamma: complex) -> np.ndarray:
+def _coherent(gamma: complex, name: str = "alpha") -> np.ndarray:
     """Fock amplitudes of |gamma> up to default_cutoff(|gamma|); raises
-    CutoffError when they leak more than 1e-10 of the norm."""
-    n_max = default_cutoff(abs(gamma))
+    CutoffError when they leak more than 1e-10 of the norm, or, calling
+    |gamma| `name`, when default_cutoff refuses it."""
+    try:
+        n_max = default_cutoff(abs(gamma))
+    except CutoffError:  # its message calls every amplitude alpha
+        msg = f"{name} = {abs(gamma):g} is too large: exp(-{name}^2/2) underflows to 0"
+        raise CutoffError(msg) from None
     amps = np.empty(n_max + 1, dtype=complex)
     amps[0] = math.exp(-0.5 * abs(gamma) ** 2)
     for n in range(1, n_max + 1):
@@ -142,7 +147,7 @@ def _source_amplitudes(source: SourceSpec) -> np.ndarray:
         return np.array([1.0 + 0.0j])
     if source.kind == "qubit":
         return np.array([source.c0, source.c1], dtype=complex)
-    return _coherent(source.beta)
+    return _coherent(source.beta, "|beta|")
 
 
 def _check_norm(norm: float) -> None:
@@ -305,8 +310,11 @@ def gaussian_distance(pmf: Pmf, alpha: float) -> float:
     weak-field Gaussian of width |alpha|, integrated over unit bins."""
     if not (alpha > 0.0):
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    # bin k spans the edges k -/+ 0.5; each edge is evaluated once
-    edges = ndtr((np.arange(pmf.offset, pmf.offset + len(pmf.probabilities) + 1) - 0.5) / alpha)
+    # bin k spans the edges k -/+ 0.5; each edge is evaluated once.  Below alpha
+    # ~1.1e-307 far edges overflow to -/+inf; ndtr is already 0 and 1 that far out
+    k = np.arange(pmf.offset, pmf.offset + len(pmf.probabilities) + 1)
+    with np.errstate(over="ignore"):
+        edges = ndtr((k - 0.5) / alpha)
     q = edges[1:] - edges[:-1]
     outside = max(0.0, 1.0 - float(np.sum(q)))
     return 0.5 * (float(np.sum(np.abs(pmf.probabilities - q))) + outside)

@@ -7,9 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import DriftField
-from .engine import EnsembleResult
 from .measurement import pdf_vacuum
+
+# DriftField (analysis) and EnsembleResult (engine) only annotate, so neither is imported
 
 _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 

@@ -9,19 +9,30 @@ module is found in their source.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import homodyne_feedback
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
-# read from the module's source: the harness itself is not imported here
-_TARGETS = next(
-    ast.literal_eval(node.value)
-    for node in ast.parse(SPANS.read_text()).body
-    if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
-)
+
+def _spans_constant(name):
+    # read from the module's source: the harness itself is not imported here
+    return next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(SPANS.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]
+    )
+
+
+_TARGETS = _spans_constant("TARGETS")
+_LAYERS = _spans_constant("LAYERS")
 
 # read by perfbench's layer probes and fact checks without tracing
 _READ_DIRECTLY = [
@@ -97,3 +108,20 @@ def test_fock_output_shape_read_by_perfbench():
     result = beamsplitter_output(lo_alpha=2.0, source=SourceSpec.vacuum())
     assert result.amplitudes.ndim == 2
     assert result.amplitudes.shape[0] == result.amplitudes.shape[1]
+
+
+def test_cli_and_engine_load_every_traced_layer():
+    # perfbench's tracer self-test imports only cli and engine before the
+    # tracer patches every module of spans.LAYERS and checks that
+    # cli.run_ensemble is restored, so cli must import those modules itself
+    src = str(Path(homodyne_feedback.__file__).resolve().parents[1])
+    code = (
+        "import sys; from homodyne_feedback import cli, engine; "
+        f"missing = [m for m in {_LAYERS!r} if 'homodyne_feedback.' + m not in sys.modules]; "
+        "assert missing == [], missing; "
+        "assert cli.run_ensemble is engine.run_ensemble"
+    )
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import homodyne_feedback
-from homodyne_feedback import EnsembleResult, cli, validation
+from homodyne_feedback import EnsembleResult, analysis, cli, validation
 from homodyne_feedback.cli import CSV_HEADER, TRAJ_HEADER, main
 from homodyne_feedback.svgfig import histogram_svg
 
@@ -383,11 +383,25 @@ class TestOracle:
             ["--alpha", "40"],
             ["--alpha", "1e200"],
             ["--source", "coherent:1e200,0"],
+            ["--alpha", "2", "--source", "coherent:40,0"],
         ],
     )
-    def test_cutoff_too_small_exits_4(self, tmp_path, flags):
+    def test_cutoff_too_small_exits_4(self, tmp_path, capsys, flags):
         assert main(["oracle", *flags, "--out", str(tmp_path / "pmf.csv")]) == 4
         assert list(tmp_path.iterdir()) == []
+        # the error names the amplitude that underflows: the LO's or the source's
+        [err] = capsys.readouterr().err.splitlines()
+        name = "|beta|" if "--source" in flags else "alpha"
+        assert err.startswith(f"error: {name} = ") and err.endswith("underflows to 0")
+
+    def test_tiny_alpha_runs_without_warning(self, tmp_path, capsys):
+        # the Gaussian model's bin edges (k -/+ 0.5) / alpha overflow to
+        # -/+inf, where ndtr is exactly 0 and 1
+        out = tmp_path / "pmf.csv"
+        assert main(["oracle", "--alpha", "1e-320", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "pmf.summary.json").read_text())
+        assert summary["tv_distance_vs_gaussian_model"] == 0.0
 
     @pytest.mark.parametrize(
         "alpha,source,mean,variance",
@@ -877,8 +891,9 @@ def _unreachable(*args):
 )
 def test_output_above_physical_memory_exits_2(monkeypatch, tmp_path, capsys, argv, target):
     # numpy allocates lazily, so these would exhaust memory rather than raise
-    # MemoryError: the size rule refuses them before anything is allocated
-    monkeypatch.setattr(cli, target, _unreachable)
+    # MemoryError: the size rule refuses them before anything is allocated.
+    # cmd_figure imports drift_field from analysis when it runs.
+    monkeypatch.setattr(analysis if target == "drift_field" else cli, target, _unreachable)
     out = tmp_path / "x"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -1022,20 +1037,30 @@ class TestImportCost:
     # Skellam reference (ive) of a vacuum oracle run and of validate's
     # oracle check.
     @staticmethod
-    def scipy_modules(code):
-        code += "; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    def loaded(code):
+        """The names in sys.modules once `code` has run in a fresh interpreter."""
+        code += "; print(sorted(sys.modules))"
         proc = subprocess.run(
             [sys.executable, "-c", code],
             env=dict(os.environ, PYTHONPATH=_pythonpath()),
             capture_output=True, text=True, check=True,
         )
-        return proc.stdout.strip().splitlines()[-1]
+        return set(ast.literal_eval(proc.stdout.strip().splitlines()[-1]))
+
+    @classmethod
+    def scipy_modules(cls, code):
+        return sorted(m for m in cls.loaded(code) if m.startswith("scipy"))
+
+    @staticmethod
+    def main_code(argv, tmp_path):
+        argv = [*argv, "--out", str(tmp_path / "x")]
+        return f"import sys; from homodyne_feedback.cli import main; assert main({argv!r}) == 0"
 
     @pytest.mark.parametrize(
         "module", ["homodyne_feedback.cli", "homodyne_feedback", "homodyne_feedback.validation"]
     )
     def test_import_loads_no_scipy(self, module):
-        assert self.scipy_modules(f"import sys, {module}") == "[]"
+        assert self.scipy_modules(f"import sys, {module}") == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -1046,15 +1071,36 @@ class TestImportCost:
         ],
     )
     def test_command_loads_no_scipy(self, tmp_path, argv):
-        argv = [*argv, "--out", str(tmp_path / "x")]
-        code = f"import sys; from homodyne_feedback.cli import main; assert main({argv!r}) == 0"
-        assert self.scipy_modules(code) == "[]"
+        assert self.scipy_modules(self.main_code(argv, tmp_path)) == []
 
     def test_vacuum_oracle_loads_scipy(self, tmp_path):
         # the guard above is not vacuous: the Skellam reference needs ive
-        argv = ["oracle", "--alpha", "6", "--out", str(tmp_path / "x")]
-        code = f"import sys; from homodyne_feedback.cli import main; assert main({argv!r}) == 0"
-        assert "scipy.special" in self.scipy_modules(code)
+        argv = ["oracle", "--alpha", "6"]
+        assert "scipy.special" in self.scipy_modules(self.main_code(argv, tmp_path))
+
+    def test_package_import_loads_no_module(self):
+        # each public name's module is imported when the name is first read
+        loaded = self.loaded("import sys, homodyne_feedback")
+        assert sorted(m for m in loaded if m.startswith("homodyne_feedback.")) == []
+        assert "numpy" not in loaded
+
+    # only `figure` draws, so only it imports the drift field and the SVG writer
+    _FIGURE_STACK = {"homodyne_feedback.analysis", "homodyne_feedback.svgfig"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--alpha", "6", "--source", "qubit:0.6,0,0,0.8"],
+            ["simulate", "--steps", "10", "--trajectories", "4"],
+        ],
+    )
+    def test_command_loads_no_figure_stack(self, tmp_path, argv):
+        assert self._FIGURE_STACK & self.loaded(self.main_code(argv, tmp_path)) == set()
+
+    def test_figure_loads_the_figure_stack(self, tmp_path):
+        # the guard above is not vacuous
+        argv = ["figure", "--kind", "drift-field"]
+        assert self._FIGURE_STACK <= self.loaded(self.main_code(argv, tmp_path))
 
     @pytest.mark.parametrize("passed,code", [(True, 0), (False, 1)])
     def test_validate_resolves_its_imports(self, monkeypatch, capsys, passed, code):
@@ -1068,3 +1114,5 @@ def test_package_exports_resolve_without_duplicates():
     names = homodyne_feedback.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(homodyne_feedback, n)] == []
+    # the package binds none of them itself, so dir lists them through __dir__
+    assert set(names) <= set(dir(homodyne_feedback))

@@ -391,6 +391,12 @@ class TestGaussianDistance:
         ref = 0.5 * (float(np.sum(np.abs(pmf.probabilities - q))) + outside)
         assert gaussian_distance(pmf, alpha) == ref
 
+    # below alpha ~1.1e-307 the bin edges (k -/+ 0.5) / alpha overflow to
+    # -/+inf, where ndtr is exactly 0 and 1: no warning, and no mass off the pmf
+    @pytest.mark.parametrize("alpha", [1e-307, 1e-320, 5e-324])
+    def test_tiny_alpha_overflows_quietly(self, alpha):
+        assert gaussian_distance(delta_n_pmf(alpha, SourceSpec.vacuum()), alpha) == 0.0
+
     @pytest.mark.parametrize("alpha", [0.0, -2.0, math.nan])
     def test_alpha_must_be_positive(self, alpha):
         pmf = delta_n_pmf(2.0, SourceSpec.vacuum())
