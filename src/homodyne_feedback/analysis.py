@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from ._cephes import ndtr
+from . import _special
 from .bloch import SimParams
 from .measurement import pdf_vacuum, record_shift
 
@@ -50,8 +50,9 @@ def drift_field(params: SimParams, g: float, grid_size: int = 72) -> DriftField:
     # E[dn 1{dn>0}] and P(dn>0) for the +/-mu mixture
     t = mu / sigma
     density = pdf_vacuum(t, 1.0)  # standard normal density at t
-    e_pos = p_plus * (mu * ndtr(t) + sigma * density) + p_minus * (-mu * ndtr(-t) + sigma * density)
-    p_pos = p_plus * ndtr(t) + p_minus * ndtr(-t)
+    cdf_pos, cdf_neg = float(_special.ndtr(t)), float(_special.ndtr(-t))
+    e_pos = p_plus * (mu * cdf_pos + sigma * density) + p_minus * (-mu * cdf_neg + sigma * density)
+    p_pos = p_plus * cdf_pos + p_minus * cdf_neg
     mean_dn_given_pos = e_pos / p_pos
 
     amp = 1.0 + s_z - g

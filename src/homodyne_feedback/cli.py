@@ -381,8 +381,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # imported here: only this subcommand runs the acceptance suite; scipy
-    # loads only when its oracle check reaches skellam_pmf's ive
+    # imported here: only this subcommand runs the acceptance suite
     from .validation import format_report, run_all
 
     results = run_all()

@@ -26,15 +26,14 @@ output dimension squared.
 
 The truncation is not an option: the LO and a coherent source are both
 built by `_coherent`, which expands |gamma> to default_cutoff(|gamma|)
-photons and refuses an amplitude whose vacuum term underflows or whose
-expansion leaks more than 1e-10 of the norm (CutoffError).
+photons and refuses an amplitude whose vacuum term is not a normal float or
+whose expansion's norm is off 1 by more than 1e-10 (CutoffError).
 
-log(n!) and the normal distribution function come from `_cephes`, ports of
-the Cephes routines scipy.special compiles, equal to scipy's value for
-value.  Only `skellam_pmf` with both rates positive (the reference for a
-vacuum source) imports scipy.special, for the Bessel function `ive`, which
-has no such port; it does so inside the function, so the other oracle runs
-and importing this module never load scipy (~0.3 s a process).
+log(n!) (as gammaln(n + 1.0)), the normal distribution function `ndtr` and,
+for the Skellam reference, the Bessel function `ive` are scipy's compiled
+ufuncs, read through `_special` on first use: importing this module loads
+nothing from scipy, and no oracle run imports the scipy.special package
+(~0.3 s a process).
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._cephes import log_factorial, ndtr
+from . import _special
 
 _BLOCK_CELLS = 1 << 14  # output cells per block; bounds the expansion's temporaries
 
@@ -116,28 +115,30 @@ def default_cutoff(alpha: float) -> int:
     """LO-mode cutoff keeping coherent-tail leakage well below 1e-10.
 
     Raises CutoffError when the vacuum amplitude exp(-alpha^2/2) underflows
-    to 0 (alpha above ~38.6), since no cutoff then holds the state's norm.
+    below the smallest normal float (alpha above ~37.64): a subnormal start
+    leaves the recurrence too few significant bits to hold the state's norm.
     """
-    if math.exp(-0.5 * alpha * alpha) == 0.0:
-        raise CutoffError(f"alpha = {alpha:g} is too large: exp(-alpha^2/2) underflows to 0")
+    vacuum = math.exp(-0.5 * alpha * alpha)
+    if vacuum < np.finfo(float).tiny:
+        msg = f"alpha = {alpha:g} is too large: exp(-alpha^2/2) underflows to {vacuum:g}"
+        raise CutoffError(msg)
     return max(20, int(math.ceil(alpha * alpha + 10.0 * alpha + 20.0)))
 
 
 def _coherent(gamma: complex, name: str = "alpha") -> np.ndarray:
     """Fock amplitudes of |gamma> up to default_cutoff(|gamma|); raises
-    CutoffError when they leak more than 1e-10 of the norm, or, calling
+    CutoffError when their norm is off 1 by more than 1e-10, or, calling
     |gamma| `name`, when default_cutoff refuses it."""
     try:
         n_max = default_cutoff(abs(gamma))
-    except CutoffError:  # its message calls every amplitude alpha
-        msg = f"{name} = {abs(gamma):g} is too large: exp(-{name}^2/2) underflows to 0"
-        raise CutoffError(msg) from None
+    except CutoffError as exc:  # its message calls every amplitude alpha
+        raise CutoffError(str(exc).replace("alpha", name)) from None
     amps = np.empty(n_max + 1, dtype=complex)
     amps[0] = math.exp(-0.5 * abs(gamma) ** 2)
     for n in range(1, n_max + 1):
         amps[n] = amps[n - 1] * gamma / math.sqrt(n)
     leak = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    if leak > 1e-10:
+    if abs(leak) > 1e-10:
         raise CutoffError(f"cutoff {n_max} leaves leakage {leak:g} at |gamma| = {abs(gamma):g}")
     return amps
 
@@ -173,7 +174,7 @@ def _blocks(lo_alpha: float, source: SourceSpec):
     nb_max = len(b) - 1
     dim = len(a) + nb_max
     top = dim - 1
-    lf = log_factorial(np.arange(dim + 1))
+    lf = _special.gammaln(np.arange(dim + 1) + 1.0)  # log(n!)
     half_ln2 = 0.5 * math.log(2.0)
     # a[n] = a[n - 1] * gamma / sqrt(n) and a[0] > 0, so the nonzero a[n]
     # are the first ones, n <= na_top
@@ -287,14 +288,12 @@ def skellam_pmf(k, mu1: float, mu2: float):
     elif mu1 == 0.0 or mu2 == 0.0:
         mu, n = (mu1, k) if mu2 == 0.0 else (mu2, -k)  # Poisson(mu) at n
         nn = np.maximum(n, 0)
-        p = np.where(n >= 0, np.exp(-mu + nn * math.log(mu) - log_factorial(nn)), 0.0)
+        p = np.where(n >= 0, np.exp(-mu + nn * math.log(mu) - _special.gammaln(nn + 1.0)), 0.0)
     else:
-        from scipy.special import ive
-
         x = 2.0 * math.sqrt(mu1 * mu2)
         # ive underflows to 0 far in the tail; log -> -inf and exp -> 0 there
         with np.errstate(divide="ignore"):
-            log_ive = np.log(ive(np.abs(k), x))
+            log_ive = np.log(_special.ive(np.abs(k), x))
         logp = (
             -(mu1 + mu2)
             + x
@@ -314,7 +313,7 @@ def gaussian_distance(pmf: Pmf, alpha: float) -> float:
     # ~1.1e-307 far edges overflow to -/+inf; ndtr is already 0 and 1 that far out
     k = np.arange(pmf.offset, pmf.offset + len(pmf.probabilities) + 1)
     with np.errstate(over="ignore"):
-        edges = ndtr((k - 0.5) / alpha)
+        edges = _special.ndtr((k - 0.5) / alpha)
     q = edges[1:] - edges[:-1]
     outside = max(0.0, 1.0 - float(np.sum(q)))
     return 0.5 * (float(np.sum(np.abs(pmf.probabilities - q))) + outside)

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -384,6 +385,11 @@ class TestOracle:
             ["--alpha", "1e200"],
             ["--source", "coherent:1e200,0"],
             ["--alpha", "2", "--source", "coherent:40,0"],
+            # a subnormal exp(-alpha^2/2) leaves the recurrence too few bits:
+            # these used to exit 4 blaming a leakage, or a norm of 1.035
+            ["--alpha", "38.1"],
+            ["--alpha", "38.5"],
+            ["--alpha", "2", "--source", "coherent:38.1,0"],
         ],
     )
     def test_cutoff_too_small_exits_4(self, tmp_path, capsys, flags):
@@ -392,7 +398,18 @@ class TestOracle:
         # the error names the amplitude that underflows: the LO's or the source's
         [err] = capsys.readouterr().err.splitlines()
         name = "|beta|" if "--source" in flags else "alpha"
-        assert err.startswith(f"error: {name} = ") and err.endswith("underflows to 0")
+        amplitude = float(flags[-1].split(":")[-1].split(",")[0])
+        vacuum = math.exp(-0.5 * amplitude * amplitude)
+        assert err == (
+            f"error: {name} = {amplitude:g} is too large: "
+            f"exp(-{name}^2/2) underflows to {vacuum:g}"
+        )
+
+    def test_alpha_with_normal_vacuum_term_runs(self, tmp_path):
+        # exp(-37.5^2/2) ~ 5e-306 is still a normal float
+        assert main(["oracle", "--alpha", "37.5", "--out", str(tmp_path / "pmf.csv")]) == 0
+        summary = json.loads((tmp_path / "pmf.summary.json").read_text())
+        assert summary["variance"] == pytest.approx(37.5**2, rel=1e-9)
 
     def test_tiny_alpha_runs_without_warning(self, tmp_path, capsys):
         # the Gaussian model's bin edges (k -/+ 0.5) / alpha overflow to
@@ -1031,11 +1048,12 @@ def test_record_histogram_peak_per_sample_within_size_rule(tmp_path, sampling):
 
 class TestImportCost:
     # `import scipy.special` takes ~0.33 s a launch: ~0.29 s of it is its
-    # array-API shim, which clones numpy and so imports numpy.f2py, .random,
-    # .testing and .ma; the ufuncs themselves take ~0.01 s.  Only the code
-    # that needs what has no port in _cephes may import it: the two-sided
-    # Skellam reference (ive) of a vacuum oracle run and of validate's
-    # oracle check.
+    # array-API shim (scipy._lib._array_api), which clones numpy and so
+    # imports numpy.f2py, .random, .testing and .ma.  The compiled ufuncs the
+    # package uses (gammaln, ndtr, ive) load from their extension module in
+    # ~1.5 ms through `_special`, so no command imports the package, and
+    # importing the CLI loads nothing from scipy at all.
+    _PACKAGE_INIT = {"scipy.special", "scipy._lib._array_api"}
     @staticmethod
     def loaded(code):
         """The names in sys.modules once `code` has run in a fresh interpreter."""
@@ -1068,15 +1086,21 @@ class TestImportCost:
             ["oracle", "--alpha", "6", "--source", "qubit:0.6,0,0,0.8"],
             ["oracle", "--alpha", "6", "--source", "coherent:0.5,0.25"],
             ["figure", "--kind", "drift-field"],
+            ["oracle", "--alpha", "6"],
+            ["simulate", "--steps", "10", "--trajectories", "4"],
         ],
     )
     def test_command_loads_no_scipy(self, tmp_path, argv):
-        assert self.scipy_modules(self.main_code(argv, tmp_path)) == []
+        # no scipy.special package init, whichever ufuncs the command calls
+        loaded = self.scipy_modules(self.main_code(argv, tmp_path))
+        assert self._PACKAGE_INIT.isdisjoint(loaded)
 
     def test_vacuum_oracle_loads_scipy(self, tmp_path):
-        # the guard above is not vacuous: the Skellam reference needs ive
+        # the guard above is not vacuous: the Skellam reference calls ive,
+        # from the compiled extension
         argv = ["oracle", "--alpha", "6"]
-        assert "scipy.special" in self.scipy_modules(self.main_code(argv, tmp_path))
+        loaded = self.scipy_modules(self.main_code(argv, tmp_path))
+        assert "scipy.special._special_ufuncs" in loaded
 
     def test_package_import_loads_no_module(self):
         # each public name's module is imported when the name is first read

@@ -143,6 +143,13 @@ class TestBeamsplitter:
         with pytest.raises(CutoffError, match=r"cutoff 10 leaves leakage .* at \|gamma\| = 6$"):
             beamsplitter_output(lo_alpha, source)
 
+    def test_norm_above_one_refused(self, monkeypatch):
+        # started from its subnormal vacuum term, |38.5>'s recurrence sums to
+        # a norm of ~1.035: the leak check is two-sided
+        monkeypatch.setattr(fock, "default_cutoff", lambda alpha: 1888)
+        with pytest.raises(CutoffError, match=r"cutoff 1888 leaves leakage -0\.03"):
+            beamsplitter_output(38.5, SourceSpec.vacuum())
+
     @pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])
     def test_lo_alpha_must_be_finite_and_non_negative(self, alpha):
         with pytest.raises(ValueError, match=f"lo_alpha must be finite and >= 0, got {alpha}"):
@@ -333,7 +340,7 @@ class TestSkellam:
 
     @pytest.mark.parametrize("mu", [0.5, 2.0, 40.0, 450.0])
     def test_one_sided_limit_matches_scipy_bit_for_bit(self, mu):
-        # the Poisson pmf with scipy's log(n!), the reference for the port
+        # the Poisson pmf with log(n!) from scipy.special's gammaln
         k = np.array([-3, 0, 1, 7, 12, 13, 100, 999, 1000, 2500])
         n = np.maximum(k, 0)
         ref = np.where(k >= 0, np.exp(-mu + n * math.log(mu) - gammaln(n + 1.0)), 0.0)
@@ -380,8 +387,7 @@ class TestGaussianDistance:
          (6.0, SourceSpec.coherent(0.5 + 0.25j))],
     )
     def test_matches_scipy_bit_for_bit(self, alpha, source):
-        # each bin from scipy's ndtr at its two edges, as the distance was
-        # computed before the port
+        # each bin from scipy.special's ndtr at its two edges
         from scipy.special import ndtr
 
         pmf = delta_n_pmf(alpha, source)
@@ -421,6 +427,16 @@ class TestGaussianDistance:
     def test_cutoff_refused_when_vacuum_amplitude_underflows(self, alpha):
         with pytest.raises(CutoffError, match="underflows to 0"):
             default_cutoff(alpha)
+
+    # below alpha ~37.64 it is a normal float; above, subnormal, and refused
+    # as well: the recurrence would start from too few significant bits
+    @pytest.mark.parametrize("alpha", [37.7, 38.1, 38.5])
+    def test_cutoff_refused_when_vacuum_amplitude_is_subnormal(self, alpha):
+        with pytest.raises(CutoffError, match=r"underflows to [1-9][.0-9]*e-3[0-9]{2}$"):
+            default_cutoff(alpha)
+
+    def test_cutoff_at_largest_normal_vacuum_amplitude(self):
+        assert default_cutoff(37.6) == math.ceil(37.6**2 + 376.0 + 20.0)
 
     def test_huge_coherent_source_refused(self):
         with pytest.raises(CutoffError, match="underflows to 0"):
