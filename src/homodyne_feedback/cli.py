@@ -30,10 +30,6 @@ from .streams import CounterStream
 TRAJ_HEADER = "traj,step,time,phi,sx,sz,delta_n,theta"
 
 
-class FlagError(ValueError):
-    """Invalid flag or config-file value."""
-
-
 # --policy name -> (feedback gain, drift-field panel label)
 _POLICIES = {
     "none": (0.0, "No feedback"),
@@ -51,8 +47,8 @@ def parse_policy(text: str) -> float:
         try:
             return check_gain(float(text[len("custom:"):]))
         except ValueError as exc:
-            raise FlagError(f"bad custom gain in {text!r}: {exc}") from exc
-    raise FlagError(f"unknown policy {text!r}")
+            raise ValueError(f"bad custom gain in {text!r}: {exc}") from exc
+    raise ValueError(f"unknown policy {text!r}")
 
 
 def parse_initial(text: str) -> BlochState:
@@ -68,15 +64,15 @@ def parse_initial(text: str) -> BlochState:
         try:
             return BlochState(float(text[len("phi:"):]))
         except ValueError as exc:
-            raise FlagError(f"bad initial angle in {text!r}: {exc}") from exc
-    raise FlagError(f"unknown initial state {text!r}")
+            raise ValueError(f"bad initial angle in {text!r}: {exc}") from exc
+    raise ValueError(f"unknown initial state {text!r}")
 
 
 def parse_sampling(text: str) -> SamplingMode:
     try:
         return SamplingMode(text)
     except ValueError as exc:
-        raise FlagError(f"unknown sampling mode {text!r}") from exc
+        raise ValueError(f"unknown sampling mode {text!r}") from exc
 
 
 def _amplitudes(text: str, names: str) -> list[complex]:
@@ -85,11 +81,11 @@ def _amplitudes(text: str, names: str) -> list[complex]:
     kind, _, values = text.partition(":")
     parts = values.split(",")
     if len(parts) != names.count(",") + 1:
-        raise FlagError(f"{kind} source needs {names}: {text!r}")
+        raise ValueError(f"{kind} source needs {names}: {text!r}")
     try:
         v = [float(p) for p in parts]
     except ValueError as exc:
-        raise FlagError(f"bad source amplitude in {text!r}: {exc}") from exc
+        raise ValueError(f"bad source amplitude in {text!r}: {exc}") from exc
     return [complex(re, im) for re, im in zip(v[::2], v[1::2])]
 
 
@@ -100,7 +96,7 @@ def parse_source(text: str) -> SourceSpec:
         return SourceSpec.coherent(*_amplitudes(text, "RE,IM"))
     if text.startswith("qubit:"):
         return SourceSpec.qubit(*_amplitudes(text, "C0RE,C0IM,C1RE,C1IM"))
-    raise FlagError(f"unknown source {text!r}")
+    raise ValueError(f"unknown source {text!r}")
 
 
 def read_config_file(path: str, known: set[str]) -> dict[str, str]:
@@ -112,12 +108,12 @@ def read_config_file(path: str, known: set[str]) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise FlagError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
-            raise FlagError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
-            raise FlagError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value
     return values
 
@@ -138,11 +134,11 @@ def effective(args, spec: dict[str, tuple]):
             try:
                 out[key] = conv(file_values[key])
             except ValueError as exc:
-                raise FlagError(f"{args.config}: bad value for {key!r}: {exc}") from exc
+                raise ValueError(f"{args.config}: bad value for {key!r}: {exc}") from exc
         else:
             out[key] = default
     if out["out"] is None:
-        raise FlagError("--out is required")
+        raise ValueError("--out is required")
     # raised before any work, as opening the path to write would; the oracle's
     # summary sits beside --out
     for path in (out["out"], out.get("dump-trajectories")):
@@ -155,11 +151,13 @@ def effective(args, spec: dict[str, tuple]):
     return out
 
 
-# The parameters of one ensemble run: key -> (converter, default).
+# A spec maps each key a command reads, as a flag and a config key, to its
+# (converter, default).  Every simulation and figure kind reads these three.
+_PARAMS = {"gamma": (float, 1.0), "tau": (float, 1e-3), "alpha": (float, 100.0)}
+
+# The parameters of one ensemble run.
 _RUN_SPEC = {
-    "gamma": (float, 1.0),
-    "tau": (float, 1e-3),
-    "alpha": (float, 100.0),
+    **_PARAMS,
     "policy": (str, "none"),
     "initial": (str, "excited"),
     "steps": (int, 1000),
@@ -167,9 +165,27 @@ _RUN_SPEC = {
     "seed": (int, 0),
 }
 
-# The JSON "config" block follows this key order.
-_SIM_SPEC = {
-    **_RUN_SPEC, "format": (str, "csv"), "out": (str, None), "dump-trajectories": (str, None),
+# Figure kind -> its spec; every kind also takes --kind and --out.  With no
+# --policy the drift field draws all three panels.  In this order the kinds'
+# union lists its keys in --help order.
+_FIGURE_KINDS = {
+    "decay": _RUN_SPEC,
+    "record-histogram": {
+        **_PARAMS, "initial": (str, "excited"), "sampling": (str, "vacuum"),
+        "seed": (int, 0), "samples": (int, 100_000), "bins": (int, 100),
+    },
+    "drift-field": {**_PARAMS, "policy": (str, None), "grid": (int, 72)},
+}
+_FIGURE_VALUES = {k: v for spec in _FIGURE_KINDS.values() for k, v in spec.items()}
+
+# Command -> its spec; the JSON "config" block follows simulate's key order.
+_SPECS = {
+    "simulate": {
+        **_RUN_SPEC, "format": (str, "csv"), "out": (str, None), "dump-trajectories": (str, None),
+    },
+    "oracle": {"alpha": (float, 2.0), "source": (str, "vacuum"), "out": (str, None)},
+    "figure": {"kind": (str, "drift-field"), **_FIGURE_VALUES, "out": (str, None)},
+    "validate": {},
 }
 
 # Stats columns after "step": EnsembleResult's fields, by name.
@@ -244,9 +260,9 @@ def _run_config(values: dict) -> RunConfig:
 
 
 def cmd_simulate(args) -> int:
-    values = effective(args, _SIM_SPEC)
+    values = effective(args, _SPECS["simulate"])
     if values["format"] not in ("csv", "json"):
-        raise FlagError(f"unknown format {values['format']!r}")
+        raise ValueError(f"unknown format {values['format']!r}")
     config = _run_config(values)
     result = run_ensemble(config)
     columns = [getattr(result, name) for name in _STATS_COLUMNS]
@@ -280,15 +296,8 @@ def _dump_rows(config: RunConfig):
             yield (i, k, k * tau, *row)
 
 
-_ORACLE_SPEC = {
-    "alpha": (float, 2.0),
-    "source": (str, "vacuum"),
-    "out": (str, None),
-}
-
-
 def cmd_oracle(args) -> int:
-    values = effective(args, _ORACLE_SPEC)
+    values = effective(args, _SPECS["oracle"])
     source = parse_source(values["source"])
     pmf = delta_n_pmf(values["alpha"], source)
 
@@ -315,38 +324,22 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-# Values a figure kind may read, key -> (converter, default).  With no --policy
-# the drift field draws all three panels and the decay runs without feedback.
-_FIGURE_VALUES = {
-    **_RUN_SPEC, "policy": (str, None), "sampling": (str, "vacuum"),
-    "samples": (int, 100_000), "bins": (int, 100), "grid": (int, 72),
-}
-_FIGURE_SPEC = {"kind": (str, "drift-field"), **_FIGURE_VALUES, "out": (str, None)}
-
-# Figure kind -> the values it reads; every kind also takes --kind and --out.
-_PARAMS = ("gamma", "tau", "alpha")
-_FIGURE_KINDS = {
-    "drift-field": (*_PARAMS, "policy", "grid"),
-    "decay": (*_PARAMS, "policy", "initial", "steps", "trajectories", "seed"),
-    "record-histogram": (*_PARAMS, "initial", "sampling", "seed", "samples", "bins"),
-}
-
-
 def cmd_figure(args) -> int:
     # imported here: only this subcommand draws figures
     from .analysis import drift_field
     from .svgfig import decay_svg, drift_field_svg, histogram_svg
 
-    file_values = read_config_file(args.config, set(_FIGURE_SPEC)) if args.config else {}
+    spec = _SPECS["figure"]
+    file_values = read_config_file(args.config, set(spec)) if args.config else {}
     kind = file_values.get("kind", "drift-field") if args.kind is None else args.kind
     if kind not in _FIGURE_KINDS:
-        raise FlagError(f"unknown figure kind {kind!r}")
+        raise ValueError(f"unknown figure kind {kind!r}")
     reads = _FIGURE_KINDS[kind]
     unread = [k for k in _FIGURE_VALUES if k not in reads and getattr(args, k) is not None]
     if unread:
         takes = ", ".join(f"--{k}" for k in reads)
-        raise FlagError(f"figure --kind {kind} does not take --{unread[0]} (it takes {takes})")
-    values = effective(args, {k: _FIGURE_SPEC[k] for k in ("kind", *reads, "out")})
+        raise ValueError(f"figure --kind {kind} does not take --{unread[0]} (it takes {takes})")
+    values = effective(args, {"kind": spec["kind"], **reads, "out": spec["out"]})
     params = SimParams(values["gamma"], values["tau"], values["alpha"])
     if kind == "drift-field":
         policies = list(_POLICIES) if values["policy"] is None else [values["policy"]]
@@ -360,12 +353,11 @@ def cmd_figure(args) -> int:
         ]
         svg = drift_field_svg(fields, labels)
     elif kind == "decay":
-        policy = "none" if values["policy"] is None else values["policy"]
-        svg = decay_svg(run_ensemble(_run_config({**values, "policy": policy})))
+        svg = decay_svg(run_ensemble(_run_config(values)))
     else:  # record-histogram
         for key in ("samples", "bins"):
             if values[key] < 1:
-                raise FlagError(f"{key} must be >= 1, got {values[key]}")
+                raise ValueError(f"{key} must be >= 1, got {values[key]}")
         nbytes = values["samples"] * _RECORD_BYTES + values["bins"] * _BIN_BYTES
         _check_fits(f"{values['samples']} records in {values['bins']} bins", nbytes)
         state = parse_initial(values["initial"])
@@ -401,17 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     # built per call, so each parse binds the module's handlers as they are now
     commands = (
-        ("simulate", "run an ensemble and write statistics", _SIM_SPEC, cmd_simulate),
-        ("oracle", "exact photon-difference pmf", _ORACLE_SPEC, cmd_oracle),
-        ("figure", "emit an SVG figure", _FIGURE_SPEC, cmd_figure),
-        ("validate", "run the acceptance suite", {}, cmd_validate),
+        ("simulate", "run an ensemble and write statistics", cmd_simulate),
+        ("oracle", "exact photon-difference pmf", cmd_oracle),
+        ("figure", "emit an SVG figure", cmd_figure),
+        ("validate", "run the acceptance suite", cmd_validate),
     )
-    for name, help_text, spec, func in commands:
+    for name, help_text, func in commands:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        if spec:
+        if _SPECS[name]:
             p.add_argument("--config", help="flat key=value config file")
-        for key, (conv, _default) in spec.items():
+        for key, (conv, _default) in _SPECS[name].items():
             p.add_argument(f"--{key}", type=conv, default=None)
     return parser
 

@@ -111,16 +111,17 @@ class Pmf:
         return float(np.dot((k - m) ** 2, self.probabilities))
 
 
-def default_cutoff(alpha: float) -> int:
+def default_cutoff(alpha: float, name: str = "alpha") -> int:
     """LO-mode cutoff keeping coherent-tail leakage well below 1e-10.
 
-    Raises CutoffError when the vacuum amplitude exp(-alpha^2/2) underflows
-    below the smallest normal float (alpha above ~37.64): a subnormal start
-    leaves the recurrence too few significant bits to hold the state's norm.
+    Raises CutoffError, calling the amplitude `name`, when the vacuum
+    amplitude exp(-alpha^2/2) underflows below the smallest normal float
+    (alpha above ~37.64): a subnormal start leaves the recurrence too few
+    significant bits to hold the state's norm.
     """
     vacuum = math.exp(-0.5 * alpha * alpha)
     if vacuum < np.finfo(float).tiny:
-        msg = f"alpha = {alpha:g} is too large: exp(-alpha^2/2) underflows to {vacuum:g}"
+        msg = f"{name} = {alpha:g} is too large: exp(-{name}^2/2) underflows to {vacuum:g}"
         raise CutoffError(msg)
     return max(20, int(math.ceil(alpha * alpha + 10.0 * alpha + 20.0)))
 
@@ -129,10 +130,7 @@ def _coherent(gamma: complex, name: str = "alpha") -> np.ndarray:
     """Fock amplitudes of |gamma> up to default_cutoff(|gamma|); raises
     CutoffError when their norm is off 1 by more than 1e-10, or, calling
     |gamma| `name`, when default_cutoff refuses it."""
-    try:
-        n_max = default_cutoff(abs(gamma))
-    except CutoffError as exc:  # its message calls every amplitude alpha
-        raise CutoffError(str(exc).replace("alpha", name)) from None
+    n_max = default_cutoff(abs(gamma), name)
     amps = np.empty(n_max + 1, dtype=complex)
     amps[0] = math.exp(-0.5 * abs(gamma) ** 2)
     for n in range(1, n_max + 1):

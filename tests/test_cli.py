@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import hashlib
@@ -555,6 +556,31 @@ def test_stats_header_is_ensemble_result_fields():
         and [getattr(t, "id", None) for t in node.targets] == ["STATS_HEADER"]
     )
     assert CSV_HEADER == stats_header
+
+
+def test_each_command_takes_exactly_its_spec():
+    # one spec per command: its options are --KEY for each key, in the spec's
+    # order, after -h/--help and, when it reads any key, --config
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli._SPECS)
+    for name, parser in sub.choices.items():
+        spec = cli._SPECS[name]
+        options = [o for action in parser._actions for o in action.option_strings]
+        config = ["--config"] if spec else []
+        assert options == ["-h", "--help", *config, *(f"--{k}" for k in spec)], name
+
+
+def test_figure_values_are_the_kinds_union_in_help_order():
+    assert list(cli._SPECS["figure"]) == ["kind", *cli._FIGURE_VALUES, "out"]
+    assert list(cli._FIGURE_VALUES) == [
+        "gamma", "tau", "alpha", "policy", "initial", "steps", "trajectories", "seed",
+        "sampling", "samples", "bins", "grid",
+    ]
+    # test_kind_table_covers_every_value checks the keys are the kinds' union;
+    # a flag parses its value one way, whichever kind reads it
+    for spec in cli._FIGURE_KINDS.values():
+        for key, (conv, _default) in spec.items():
+            assert cli._FIGURE_VALUES[key][0] is conv, key
 
 
 def fixed_point_centers(svg_text):

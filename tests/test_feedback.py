@@ -3,7 +3,7 @@ import math
 import pytest
 
 from homodyne_feedback import RunConfig, SimParams, rotation_angle
-from homodyne_feedback.cli import FlagError, parse_policy
+from homodyne_feedback.cli import parse_policy
 
 PARAMS = SimParams(gamma=1.0, tau=1e-2, alpha=100.0)
 
@@ -23,11 +23,11 @@ class TestGain:
         for g in (10.5, -10.5, math.inf, math.nan):
             with pytest.raises(ValueError, match=r"finite with \|g\| <= 10.0"):
                 RunConfig(params=PARAMS, gain=g)
-            with pytest.raises(FlagError, match=r"finite with \|g\| <= 10.0"):
+            with pytest.raises(ValueError, match=r"finite with \|g\| <= 10.0"):
                 parse_policy(f"custom:{g}")
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(FlagError, match="unknown policy"):
+        with pytest.raises(ValueError, match="unknown policy"):
             parse_policy("delayed")
 
 

@@ -139,14 +139,14 @@ class TestBeamsplitter:
         "lo_alpha,source", [(6.0, SourceSpec.vacuum()), (0.0, SourceSpec.coherent(6.0))]
     )
     def test_cutoff_too_small(self, monkeypatch, lo_alpha, source):
-        monkeypatch.setattr(fock, "default_cutoff", lambda alpha: 10 if alpha == 6.0 else 20)
+        monkeypatch.setattr(fock, "default_cutoff", lambda alpha, name: 10 if alpha == 6.0 else 20)
         with pytest.raises(CutoffError, match=r"cutoff 10 leaves leakage .* at \|gamma\| = 6$"):
             beamsplitter_output(lo_alpha, source)
 
     def test_norm_above_one_refused(self, monkeypatch):
         # started from its subnormal vacuum term, |38.5>'s recurrence sums to
         # a norm of ~1.035: the leak check is two-sided
-        monkeypatch.setattr(fock, "default_cutoff", lambda alpha: 1888)
+        monkeypatch.setattr(fock, "default_cutoff", lambda alpha, name: 1888)
         with pytest.raises(CutoffError, match=r"cutoff 1888 leaves leakage -0\.03"):
             beamsplitter_output(38.5, SourceSpec.vacuum())
 

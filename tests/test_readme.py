@@ -1,5 +1,6 @@
 """Every `hdsim` command shown in the README's `sh` blocks runs and exits 0,
-and the README's CLI section names only flags and figure kinds that exist."""
+and the README's CLI section names every flag, and only flags and figure
+kinds that exist."""
 
 import argparse
 import re
@@ -51,11 +52,23 @@ def test_readme_command_runs(tmp_path, monkeypatch, argv):
 CLI_SECTION = re.search(r"^## CLI usage\n(.*?)^## ", README.read_text(), re.M | re.S).group(1)
 
 
-def test_cli_section_names_only_real_flags():
+def cli_flags() -> set[str]:
+    """Every option string of every hdsim subcommand."""
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {flag for parser in sub.choices.values() for flag in parser._option_string_actions}
-    named = set(re.findall(r"--[a-z][a-z-]*", CLI_SECTION))
-    assert named and named <= flags, sorted(named - flags)
+    return {flag for parser in sub.choices.values() for flag in parser._option_string_actions}
+
+
+NAMED = set(re.findall(r"--[a-z][a-z-]*", CLI_SECTION))
+
+
+def test_cli_section_names_only_real_flags():
+    flags = cli_flags()
+    assert NAMED and NAMED <= flags, sorted(NAMED - flags)
+
+
+def test_cli_section_names_every_flag():
+    missing = cli_flags() - {"-h", "--help"} - NAMED
+    assert not missing, sorted(missing)
 
 
 def test_figure_kind_table_matches_cli():
