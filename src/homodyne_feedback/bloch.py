@@ -107,18 +107,20 @@ class SimParams:
         return self.gamma * self.tau
 
 
-def rotation_angle(s_z, delta_n, params: SimParams, gain: float = 0.0):
+def rotation_angle(s_z, delta_n, params: SimParams, gain: float = 0.0, *, out=None, tmp=None):
     """Back-action rotation angle sqrt(gamma*tau) * (delta_n/alpha) * (1 + s_z - gain).
 
     Uses the pre-measurement s_z.  Returns exactly 0.0 whenever
-    1 + s_z - gain == 0, for any record value.  Accepts arrays.
+    1 + s_z - gain == 0, for any record value.  Accepts arrays, writing the
+    angle into out (which may be delta_n) and 1 + s_z - gain into tmp.
     """
-    # association matches the batched engine kernel bit-for-bit
-    return (
-        math.sqrt(params.gamma * params.tau)
-        * (delta_n / params.alpha)
-        * (1.0 + s_z - gain)
-    )
+    # one new array each at most, then in place (a scalar operand rebinds)
+    theta = np.divide(delta_n, params.alpha, out=out)
+    theta *= math.sqrt(params.gamma * params.tau)
+    amplitude = np.add(s_z, 1.0, out=tmp)
+    amplitude -= gain
+    theta *= amplitude
+    return theta
 
 
 def apply_rotation(state: BlochState, theta: float) -> BlochState:

@@ -1,9 +1,9 @@
 """Command-line front end: simulate, oracle, figure, validate.
 
 Exit codes: 0 success, 1 validation failure, 2 invalid flags or config
-or an output too large for memory, 3 I/O failure, 4 Fock amplitudes
-underflow or lose norm (the oracle sizes its truncation from --alpha and
---source).
+(an integer too large for a float among them) or an output too large for
+memory, 3 I/O failure, 4 Fock amplitudes underflow or lose norm (the oracle
+sizes its truncation from --alpha and --source).
 """
 
 from __future__ import annotations
@@ -99,10 +99,10 @@ def parse_source(text: str) -> SourceSpec:
     raise ValueError(f"unknown source {text!r}")
 
 
-def read_config_file(path: str, known: set[str]) -> dict[str, str]:
-    """Flat key=value config; '#' starts a comment; unknown and repeated keys
-    are errors."""
-    values: dict[str, str] = {}
+def read_config_file(path: str, known: set[str]) -> dict[str, tuple[int, str]]:
+    """Flat key=value config, as each key's (line number, value); '#' starts
+    a comment; unknown and repeated keys are errors."""
+    values: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -114,16 +114,20 @@ def read_config_file(path: str, known: set[str]) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = value
+        values[key] = (lineno, value)
     return values
 
 
-def effective(args, spec: dict[str, tuple]):
+def effective(args, spec: dict[str, tuple], file_values=None):
     """Merge defaults, config-file values, and explicit flags (flags win);
-    every command writes to --out, so it is required."""
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = read_config_file(args.config, set(spec))
+    every command writes to --out, so it is required.  file_values is the
+    --config file as `read_config_file` gives it, read here when None."""
+    if file_values is None:
+        file_values = read_config_file(args.config, set(spec)) if args.config else {}
+    # a file read for a wider spec (figure's union of kinds) may hold keys this one lacks
+    for key, (lineno, _) in file_values.items():
+        if key not in spec:
+            raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
     out = {}
     for key, (conv, default) in spec.items():
         attr = key.replace("-", "_")
@@ -132,7 +136,7 @@ def effective(args, spec: dict[str, tuple]):
             out[key] = flag_value
         elif key in file_values:
             try:
-                out[key] = conv(file_values[key])
+                out[key] = conv(file_values[key][1])
             except ValueError as exc:
                 raise ValueError(f"{args.config}: bad value for {key!r}: {exc}") from exc
         else:
@@ -242,10 +246,10 @@ def _check_fits(what: str, nbytes: int) -> None:
         raise MemoryError(f"{what} need ~{nbytes / 2**30:.3g} GiB of {memory / 2**30:.3g} GiB RAM")
 
 
-def _run_config(values: dict) -> RunConfig:
+def _run_config(values: dict, params: SimParams) -> RunConfig:
     """The ensemble run that a command's run values describe, if its output fits memory."""
     config = RunConfig(
-        params=SimParams(values["gamma"], values["tau"], values["alpha"]),
+        params=params,
         gain=parse_policy(values["policy"]),
         initial=parse_initial(values["initial"]),
         n_steps=values["steps"],
@@ -263,7 +267,7 @@ def cmd_simulate(args) -> int:
     values = effective(args, _SPECS["simulate"])
     if values["format"] not in ("csv", "json"):
         raise ValueError(f"unknown format {values['format']!r}")
-    config = _run_config(values)
+    config = _run_config(values, SimParams(values["gamma"], values["tau"], values["alpha"]))
     result = run_ensemble(config)
     columns = [getattr(result, name) for name in _STATS_COLUMNS]
     # written as encoded, never held as one whole text, so _ROW_BYTES bounds a step
@@ -331,7 +335,7 @@ def cmd_figure(args) -> int:
 
     spec = _SPECS["figure"]
     file_values = read_config_file(args.config, set(spec)) if args.config else {}
-    kind = file_values.get("kind", "drift-field") if args.kind is None else args.kind
+    kind = file_values.get("kind", (0, "drift-field"))[1] if args.kind is None else args.kind
     if kind not in _FIGURE_KINDS:
         raise ValueError(f"unknown figure kind {kind!r}")
     reads = _FIGURE_KINDS[kind]
@@ -339,7 +343,7 @@ def cmd_figure(args) -> int:
     if unread:
         takes = ", ".join(f"--{k}" for k in reads)
         raise ValueError(f"figure --kind {kind} does not take --{unread[0]} (it takes {takes})")
-    values = effective(args, {"kind": spec["kind"], **reads, "out": spec["out"]})
+    values = effective(args, {"kind": spec["kind"], **reads, "out": spec["out"]}, file_values)
     params = SimParams(values["gamma"], values["tau"], values["alpha"])
     if kind == "drift-field":
         policies = list(_POLICIES) if values["policy"] is None else [values["policy"]]
@@ -353,7 +357,7 @@ def cmd_figure(args) -> int:
         ]
         svg = drift_field_svg(fields, labels)
     elif kind == "decay":
-        svg = decay_svg(run_ensemble(_run_config(values)))
+        svg = decay_svg(run_ensemble(_run_config(values, params)))
     else:  # record-histogram
         for key in ("samples", "bins"):
             if values[key] < 1:
@@ -418,7 +422,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, MemoryError) as exc:
+    except (ValueError, TypeError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

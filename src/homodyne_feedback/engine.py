@@ -2,8 +2,9 @@
 
 Every trajectory owns a counter-based stream derived from (seed, index), so
 ensembles are embarrassingly parallel and the aggregate is bit-identical for
-any worker count.  Ensembles run through the batched kernel `_advance`.
-Every step draws its record from the atom-conditioned `conditional_pdf`.
+any worker count.  Ensembles run through the batched kernel `_advance`,
+whose steps draw records from the atom-conditioned `conditional_pdf` with
+`measurement.conditional_records` and turn by `bloch.rotation_angle`.
 `SimParams` bounds alpha, so the kernel runs under numpy's default error state;
 `RunConfig` bounds a step's rotation below a full turn, so one turn wraps it.
 
@@ -21,9 +22,9 @@ are reduced in batch order.  The result therefore does not depend on the
 worker count.
 
 A single trajectory runs through `run_trajectory_arrays`, a plain float loop
-over the same draws that repeats the kernel's float64 operations in the
-kernel's order, so each of its values equals that lane of the kernel bit for
-bit.
+over the same draws that repeats the record's and the rotation's float64
+operations in their order, so each of its values equals that lane of the
+kernel bit for bit.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import BlochState, SimParams
-from .measurement import record_shift
+from .bloch import BlochState, SimParams, rotation_angle
+from .measurement import conditional_records, record_shift
 from .streams import _WORD_BUDGET, Z_MAX, check_seed, draws, stream_key
 
 _PI = math.pi
@@ -179,22 +180,18 @@ def _advance(phi, keys, params, g, n_steps):
 
     phi: (n,) float64 angles; keys: (n,) uint64 stream keys.  Lanes
     b*BATCH_SIZE .. (b+1)*BATCH_SIZE - 1 are batch b; the last may be
-    ragged.  Every per-step operation writes with `out=` into a workspace
-    allocated once per call or, for theta, over the step's normals in
-    `streams.draws`' buffer, so neither a step nor a chunk allocates a lane array.
+    ragged.  A step writes its records and rotations over its normals in
+    `streams.draws`' buffer and all else into a workspace allocated once
+    per call, so neither a step nor a chunk allocates a lane array.
     """
     phi = np.array(phi, dtype=np.float64, copy=True)
     keys = np.asarray(keys, dtype=np.uint64)
-    alpha = params.alpha
-    sqrt_gt = math.sqrt(params.gamma * params.tau)
-    mu = record_shift(params)
-
     n = phi.shape[0]
     sums = np.empty((-(-n // BATCH_SIZE), n_steps + 1, 4))
     # s_x, s_z of the current angles: the next step's inputs and the stats
     sx = np.sin(phi)
     sz = np.cos(phi)
-    tmp = np.empty(n)  # scratch: the center, 1 + s_z - g, the squares
+    tmp = np.empty(n)  # scratch: the record centre, 1 + s_z - g, the squares
     mask = np.empty(n, dtype=bool)
 
     def record(k):
@@ -206,23 +203,9 @@ def _advance(phi, keys, params, g, n_steps):
     record(0)
     for k0, k1, u, z in draws(keys, n_steps):
         for i, k in enumerate(range(k0, k1)):
-            theta = z[i]  # the step's normal, overwritten by its rotation
-            # delta_n = center + alpha * z, center = mu where u < (1 + s_x) / 2
-            # and -mu elsewhere.  The center is (u < ...) * 2 mu - mu, which
-            # is exactly +-mu and needs no branch per lane.
-            np.multiply(theta, alpha, out=theta)
-            np.add(sx, 1.0, out=tmp)
-            np.multiply(tmp, 0.5, out=tmp)
-            np.less(u[i], tmp, out=mask)
-            np.multiply(mask, 2.0 * mu, out=tmp)
-            np.subtract(tmp, mu, out=tmp)
-            np.add(tmp, theta, out=theta)
-            # theta = sqrt_gt * (delta_n / alpha) * (1 + s_z - g), |theta| < 2 pi (RunConfig)
-            np.divide(theta, alpha, out=theta)
-            np.multiply(theta, sqrt_gt, out=theta)
-            np.add(sz, 1.0, out=tmp)
-            np.subtract(tmp, g, out=tmp)
-            np.multiply(theta, tmp, out=theta)
+            # records, then rotations, over the step's normals; |theta| < 2 pi (RunConfig)
+            theta = conditional_records(u[i], z[i], sx, params, z[i], tmp, mask)
+            rotation_angle(sz, theta, params, g, out=theta, tmp=tmp)
             phi += theta
             np.greater(phi, _PI, out=mask)
             np.subtract(phi, _TWO_PI, out=phi, where=mask)
@@ -238,11 +221,11 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
     """One trajectory as flat arrays (delta_n, theta, phi), length n_steps.
 
     Steps the kernel's draws for this trajectory in a float loop with the
-    kernel's arithmetic in the kernel's order, so every value equals that
-    lane of `_advance` bit for bit (`math.sin`/`math.cos` agree with
-    numpy's float64 sin/cos where both use the C library's; the tests check
-    every step against the kernel).  Out-of-range angles are wrapped as the
-    kernel wraps them, by one turn.
+    arithmetic of `conditional_records` and `rotation_angle` in their order,
+    so every value equals that lane of `_advance` bit for bit
+    (`math.sin`/`math.cos` agree with numpy's float64 sin/cos where both use
+    the C library's; the tests check every step against the kernel).
+    Out-of-range angles are wrapped as the kernel wraps them, by one turn.
     """
     params = config.params
     alpha = params.alpha

@@ -93,6 +93,23 @@ class TestRotationAngle:
         # gamma*tau = 0.01, delta_n/alpha = 1, s_z = 0, g = 0
         assert rotation_angle(0.0, 100.0, PARAMS_GT01, gain=0.0) == pytest.approx(0.1)
 
+    def test_buffers_match_allocating_form(self):
+        # the kernel's call: the angle over the records, 1 + s_z - g in scratch
+        rng = np.random.default_rng(4)
+        s_z = np.cos(rng.uniform(-math.pi, math.pi, 1000))
+        dn = rng.normal(0.0, 100.0, 1000)
+        gt, g = PARAMS_GT01.gamma_tau, 0.37
+        want = math.sqrt(gt) * (dn / PARAMS_GT01.alpha) * (1.0 + s_z - g)
+        assert np.array_equal(rotation_angle(s_z, dn, PARAMS_GT01, g), want)
+        assert rotation_angle(s_z[0], dn[0], PARAMS_GT01, g) == want[0]
+        inputs = s_z.copy(), dn.copy()
+        out, tmp = np.empty(1000), np.empty(1000)
+        assert rotation_angle(s_z, dn, PARAMS_GT01, g, out=out, tmp=tmp) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(s_z, inputs[0]) and np.array_equal(dn, inputs[1])
+        assert rotation_angle(s_z, dn, PARAMS_GT01, g, out=dn, tmp=tmp) is dn
+        assert np.array_equal(dn, want) and np.array_equal(s_z, inputs[0])
+
 
 class TestApplyRotation:
     def test_identity(self):

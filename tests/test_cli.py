@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -706,6 +707,35 @@ class TestFigure:
         assert main([*argv, "--kind", "drift-field"]) == 2
         assert f"{cfg}:2: unknown key 'samples'" in capsys.readouterr().err
 
+    def test_key_no_kind_reads_is_refused_before_the_kind(self, tmp_path, capsys):
+        cfg = tmp_path / "fig.cfg"
+        cfg.write_text("kind=bogus\nformat=csv\n")
+        assert main(["figure", "--config", str(cfg), "--out", str(tmp_path / "x.svg")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:2: unknown key 'format'"]
+
+    def test_config_file_is_read_once(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "fig.cfg"
+        cfg.write_text("kind=record-histogram\nsamples=100\n")
+        reads, read_text = [], Path.read_text
+
+        def counted(path, *args, **kwargs):
+            reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        assert main(["figure", "--config", str(cfg), "--out", str(tmp_path / "x.svg")]) == 0
+        assert reads.count(cfg) == 1
+
+    @pytest.mark.parametrize("command", [["simulate"], ["figure", "--kind", "decay"]])
+    def test_weak_coupling_warning_is_given_once(self, tmp_path, command):
+        # each run builds its SimParams once
+        argv = [*command, "--tau", "0.05", "--steps", "10", "--trajectories", "10"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(tmp_path / "x")]) == 0
+        messages = [str(w.message) for w in caught]
+        assert sum("gamma*tau = 0.05 is above 0.01" in m for m in messages) == 1
+
     def test_record_histogram(self, tmp_path):
         out = tmp_path / "fig.svg"
         assert main(
@@ -942,6 +972,30 @@ def test_output_above_physical_memory_exits_2(monkeypatch, tmp_path, capsys, arg
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert err[0].endswith("GiB RAM")
+    assert not out.exists()
+
+
+HUGE = "9" * 400  # converts to no float
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["simulate", "--steps", HUGE], "run_ensemble"),
+        (["figure", "--kind", "decay", "--steps", HUGE], "run_ensemble"),
+        (["simulate", "--trajectories", HUGE], "run_ensemble"),
+        (["figure", "--kind", "drift-field", "--grid", HUGE], "drift_field"),
+        (["figure", "--kind", "record-histogram", "--samples", HUGE], "sample_records"),
+    ],
+)
+def test_integer_too_large_for_a_float_exits_2(monkeypatch, tmp_path, capsys, argv, target):
+    # the run's checks and the size rule compute with floats: such a flag is
+    # refused as invalid before anything is sized
+    monkeypatch.setattr(analysis if target == "drift_field" else cli, target, _unreachable)
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
 
 

@@ -707,10 +707,13 @@ class TestRotationRange:
         assert self.refused(gt, g)[0] is False
 
 
-def _engine_calls():
-    """Names of the functions engine.py calls."""
+def _engine_calls(function=None):
+    """Names of the functions engine.py, or its named function, calls."""
+    tree = ast.parse(Path(engine.__file__).read_text())
+    if function is not None:
+        tree = next(n for n in tree.body if getattr(n, "name", None) == function)
     called = set()
-    for node in ast.walk(ast.parse(Path(engine.__file__).read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             f = node.func
             called.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
@@ -728,6 +731,14 @@ def test_engine_wraps_by_one_turn():
     # angle the kernel and the stepper compute; a full reduction (remainder,
     # or BlochState's wrap of a given angle) is dead code
     assert not {"remainder", "BlochState"} & _engine_calls()
+
+
+def test_kernel_step_draws_records_and_rotations_from_their_modules():
+    # the record and the rotation each have one array form, in measurement
+    # and bloch; the kernel's step spells out neither (no centre, no division)
+    calls = _engine_calls("_advance")
+    assert {"conditional_records", "rotation_angle"} <= calls
+    assert not {"record_shift", "divide"} & calls
 
 
 class TestRunConfigValidation:

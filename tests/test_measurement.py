@@ -21,7 +21,7 @@ from homodyne_feedback import (
     run_trajectory_arrays,
     sample_records,
 )
-from homodyne_feedback.measurement import record_shift
+from homodyne_feedback.measurement import conditional_records, record_shift
 
 PARAMS = SimParams(gamma=1.0, tau=1e-2, alpha=10.0)
 
@@ -121,17 +121,20 @@ class TestSampler:
         se = 0.5 / math.sqrt(len(dn))
         assert p_pos == pytest.approx(0.5, abs=3.0 * se)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # gamma*tau = 0.05 warns
     def test_scalar_matches_vectorized(self):
         # a trajectory's first record takes the same counters as a one-record
-        # draw (uniform, then normal) from that trajectory's stream
-        state = BlochState(0.9)
-        config = RunConfig(params=PARAMS, initial=state, n_steps=1, seed=5)
-        scalar = [run_trajectory_arrays(config, i)[0][0] for i in range(4)]
-        vector = [
-            sample_records(state, PARAMS, SamplingMode.CONDITIONAL, CounterStream(5, i), 1)[0]
-            for i in range(4)
-        ]
-        assert scalar == vector
+        # draw (uniform, then normal) from that trajectory's stream, at any state
+        cases = [(0.9, 1e-2)] + [(p, g) for p in (0.3, -2.0, 1.1, 3.0) for g in (1e-3, 0.05)]
+        for phi, gt in cases:
+            state, params = BlochState(phi), SimParams(gamma=1.0, tau=gt, alpha=10.0)
+            config = RunConfig(params=params, initial=state, n_steps=1, seed=5)
+            scalar = [run_trajectory_arrays(config, i)[0][0] for i in range(4)]
+            vector = [
+                sample_records(state, params, SamplingMode.CONDITIONAL, CounterStream(5, i), 1)[0]
+                for i in range(4)
+            ]
+            assert scalar == vector
 
     @pytest.mark.parametrize(
         "state,g",
@@ -162,6 +165,20 @@ class TestSampler:
         conditional = sample_records(state, PARAMS, SamplingMode.CONDITIONAL, rng, 1000)
         mu = record_shift(PARAMS)
         assert np.array_equal(conditional, vacuum + np.where(conditional > vacuum, mu, -mu))
+
+    def test_record_buffers_match_allocating_form(self):
+        # the kernel's call: records over the normals, one s_x a lane
+        rng = np.random.default_rng(5)
+        u, z = rng.uniform(size=1000), rng.normal(size=1000)
+        s_x = np.sin(rng.uniform(-math.pi, math.pi, 1000))
+        mu = record_shift(PARAMS)
+        want = np.where(u < 0.5 * (1.0 + s_x), mu, -mu) + PARAMS.alpha * z
+        assert np.array_equal(conditional_records(u, z, s_x, PARAMS), want)
+        inputs = u.copy(), s_x.copy()
+        tmp, mask = np.empty(1000), np.empty(1000, dtype=bool)
+        assert conditional_records(u, z, s_x, PARAMS, z, tmp, mask) is z
+        assert np.array_equal(z, want)
+        assert np.array_equal(u, inputs[0]) and np.array_equal(s_x, inputs[1])
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError, match="sample size must be >= 0, got -5"):
