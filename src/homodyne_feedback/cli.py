@@ -130,17 +130,18 @@ def effective(args, spec: dict[str, tuple], file_values=None):
             raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
     out = {}
     for key, (conv, default) in spec.items():
-        attr = key.replace("-", "_")
-        flag_value = getattr(args, attr, None)
-        if flag_value is not None:
-            out[key] = flag_value
-        elif key in file_values:
-            try:
-                out[key] = conv(file_values[key][1])
-            except ValueError as exc:
-                raise ValueError(f"{args.config}: bad value for {key!r}: {exc}") from exc
-        else:
-            out[key] = default
+        flag_value = getattr(args, key.replace("-", "_"), None)
+        where = f"--{key}" if flag_value is not None else f"{args.config}: bad value for {key!r}"
+        try:
+            if flag_value is not None:
+                out[key] = flag_value
+            else:
+                out[key] = conv(file_values[key][1]) if key in file_values else default
+            # counts size runs and outputs in floats; a seed has its own range check
+            if conv is int and key != "seed" and abs(out[key]) > sys.float_info.max:
+                raise ValueError("integer too large for a float")
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     if out["out"] is None:
         raise ValueError("--out is required")
     # raised before any work, as opening the path to write would; the oracle's

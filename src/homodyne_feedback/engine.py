@@ -9,7 +9,7 @@ whose steps draw records from the atom-conditioned `conditional_pdf` with
 `RunConfig` bounds a step's rotation below a full turn, so one turn wraps it.
 
 An ensemble is cut into fixed batches of BATCH_SIZE trajectories, and each
-worker advances a slab, a run of up to SLAB_BATCHES consecutive batches, as
+worker advances a slab, consecutive batches at most one draw chunk wide, as
 one wide lane array.  Every per-step operation writes into a workspace the
 kernel allocates once per slab, or over the step's normals in the buffer of
 `streams.draws`, which sizes the chunks and lays out the counters, so no
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,11 +46,6 @@ _TWO_PI = 2.0 * math.pi
 # Trajectories per work unit; fixed so batch boundaries (and therefore the
 # reduction) do not depend on the worker count.
 BATCH_SIZE = 4096
-
-# Most batches a worker advances together as one lane array (a slab).  A
-# 4-batch slab makes a quarter of the numpy calls, and hands the interpreter
-# lock over a quarter as often, per trajectory-step as one batch at a time.
-SLAB_BATCHES = 4
 
 MAX_CUSTOM_GAIN = 10.0
 
@@ -138,8 +132,10 @@ class EnsembleResult:
 
 def sim_threads() -> int:
     """Worker cap: SIM_THREADS (a positive integer; by default the CPU count),
-    capped at the CPU count, or 1 where that is unknown."""
-    cpus = os.cpu_count() or 1
+    capped at the CPU count: the CPUs this process may run on where the
+    platform has affinity sets, else the machine's, or 1 where unknown."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     raw = os.environ.get("SIM_THREADS")
     if raw is None:
         return cpus
@@ -254,9 +250,7 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
     return out[0], out[1], out[2]
 
 
-# perfbench's span table and layer probe call this name, and its facts read
-# _WORD_BUDGET here, imported from streams only for them; ROADMAP item 8
-# removes both
+# perfbench's span table and layer probe call this name; ROADMAP item 8 removes it
 run_trajectory = run_trajectory_arrays
 
 
@@ -266,12 +260,15 @@ def run_ensemble(config: RunConfig) -> EnsembleResult:
     Work is split into fixed-size batches, each worker advances runs of
     consecutive batches (slabs) as one lane array, and the per-batch sums
     are reduced in batch order, so the result is bit-identical for any
-    SIM_THREADS setting at a fixed seed.
+    SIM_THREADS setting at a fixed seed.  Slabs are cut for the workers
+    started, at most _WORD_BUDGET lanes wide: a full slab draws a step a chunk.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loaded only when an ensemble runs
+
     n = config.n_trajectories
     bounds = [(i, min(i + BATCH_SIZE, n)) for i in range(0, n, BATCH_SIZE)]
     workers = min(sim_threads(), len(bounds))
-    width = min(SLAB_BATCHES, -(-len(bounds) // workers))
+    width = min(_WORD_BUDGET // BATCH_SIZE, -(-len(bounds) // workers))
     slabs = [bounds[i : i + width] for i in range(0, len(bounds), width)]
 
     def slab_sums(slab):

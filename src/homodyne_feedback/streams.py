@@ -96,7 +96,7 @@ def box_muller(u1: np.ndarray, u2: np.ndarray, out=None, scratch=None) -> np.nda
 # Upper bound on steps x lanes of one chunk of `draws`.  Its two buffers, the
 # counter plane and its mixing scratch, hold 3 words a lane-step: 384 KiB
 # each, allocated once per call, so they fit a 2 MiB L2 cache and memory does
-# not grow with n_steps.  That is 4 steps at 4096 lanes, 1 step in a 4-batch
+# not grow with n_steps.  That is 4 steps at 4096 lanes, 1 step in a full
 # slab and 16,384 steps at one lane, where the counters and raw_words'
 # temporary are as large again.  tracemalloc peaks (numpy 2.4): `draws` over
 # 100,000 steps at one lane 1.50 MiB, `engine._advance` over 50 steps 0.95

@@ -193,7 +193,7 @@ def check_gaussian_limit() -> CheckResult:
 
 def check_purity_and_determinism() -> CheckResult:
     """Purity error <= 1e-12 over 1e6 steps; bit-identical ensembles with
-    SIM_THREADS = 1, 2, 8, each capped at the CPU count (1, 2, 2 on 2 CPUs)."""
+    SIM_THREADS = 1, 2, 8, each capped at the usable CPUs (1, 2, 2 on 2 CPUs)."""
     config = RunConfig(
         params=_PARAMS, gain=0.0, initial=BlochState.excited(),
         n_steps=1_000_000, n_trajectories=1, seed=5,

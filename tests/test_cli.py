@@ -775,9 +775,10 @@ class TestFigure:
         assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), pytest.param("9" * 400, id="huge")])
     def test_record_histogram_seed_outside_uint64_exits_2(self, tmp_path, capsys, seed):
-        # the histogram's stream takes the seed rule an ensemble run does
+        # the histogram's stream takes the seed rule an ensemble run does,
+        # also for a seed too large for a float
         out = tmp_path / "x.svg"
         argv = ["figure", "--kind", "record-histogram", "--seed", seed, "--out", str(out)]
         assert main(argv) == 2
@@ -986,16 +987,40 @@ HUGE = "9" * 400  # converts to no float
         (["simulate", "--trajectories", HUGE], "run_ensemble"),
         (["figure", "--kind", "drift-field", "--grid", HUGE], "drift_field"),
         (["figure", "--kind", "record-histogram", "--samples", HUGE], "sample_records"),
+        (["figure", "--kind", "record-histogram", "--bins", HUGE], "sample_records"),
     ],
 )
 def test_integer_too_large_for_a_float_exits_2(monkeypatch, tmp_path, capsys, argv, target):
     # the run's checks and the size rule compute with floats: such a flag is
-    # refused as invalid before anything is sized
+    # refused by name as invalid before anything is sized
     monkeypatch.setattr(analysis if target == "drift_field" else cli, target, _unreachable)
     out = tmp_path / "x"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert err == [f"error: {argv[-2]}: integer too large for a float"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,key,target",
+    [
+        (["simulate"], "steps", "run_ensemble"),
+        (["simulate"], "trajectories", "run_ensemble"),
+        (["figure", "--kind", "drift-field"], "grid", "drift_field"),
+        (["figure", "--kind", "record-histogram"], "samples", "sample_records"),
+        (["figure", "--kind", "record-histogram"], "bins", "sample_records"),
+    ],
+)
+def test_integer_too_large_for_a_float_in_config_exits_2(
+    monkeypatch, tmp_path, capsys, command, key, target
+):
+    monkeypatch.setattr(analysis if target == "drift_field" else cli, target, _unreachable)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={HUGE}\n")
+    out = tmp_path / "x"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cfg}: bad value for {key!r}: integer too large for a float"]
     assert not out.exists()
 
 
@@ -1181,6 +1206,20 @@ class TestImportCost:
         argv = ["oracle", "--alpha", "6"]
         loaded = self.scipy_modules(self.main_code(argv, tmp_path))
         assert "scipy.special._special_ufuncs" in loaded
+
+    @pytest.mark.parametrize(
+        "argv,loads",
+        [
+            (None, False),
+            (["oracle", "--alpha", "6"], False),
+            (["simulate", "--steps", "2", "--trajectories", "2"], True),
+        ],
+    )
+    def test_thread_pool_loads_only_for_an_ensemble(self, tmp_path, argv, loads):
+        # the pool, and the logging it imports, load when an ensemble runs
+        pool = {"concurrent.futures", "logging"}
+        code = self.main_code(argv, tmp_path) if argv else "import sys, homodyne_feedback.cli"
+        assert pool & self.loaded(code) == (pool if loads else set())
 
     def test_package_import_loads_no_module(self):
         # each public name's module is imported when the name is first read

@@ -1,6 +1,10 @@
 import ast
+import concurrent.futures
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -310,8 +314,8 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("cpus,threads", [(2, 2), (None, 1)])
     def test_thread_pool_bounded_by_hardware(self, monkeypatch, cpus, threads):
         # SIM_THREADS far above the CPU count starts no more threads than the
-        # machine has, and the slabs are cut for the threads started: six
-        # batches make 3+3 on two threads and 4+2 on one
+        # process may run on, and the slabs are cut for the threads started:
+        # six batches make 3+3 on two threads and 4+2 on one
         pools, slabs = [], []
 
         class SerialPool:
@@ -334,9 +338,13 @@ class TestRunEnsemble:
             slabs.append(len(sums))  # one row of sums per batch of the slab
             return phi, sums
 
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(engine, "_advance", counted)
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        if cpus is None:  # no affinity sets, and an unknown CPU count
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         config = make_config(n_trajectories=5 * engine.BATCH_SIZE + 123, n_steps=5, seed=6)
         results = {}
         for t in ("10000", "1"):
@@ -351,12 +359,65 @@ class TestRunEnsemble:
         "env,cpus,threads", [(None, 4, 4), ("3", 4, 3), ("10000", 2, 2), (None, None, 1)]
     )
     def test_sim_threads_capped_at_cpu_count(self, monkeypatch, env, cpus, threads):
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        # a platform with no affinity sets counts the machine's CPUs
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         if env is None:
             monkeypatch.delenv("SIM_THREADS", raising=False)
         else:
             monkeypatch.setenv("SIM_THREADS", env)
         assert engine.sim_threads() == threads
+
+    @pytest.mark.parametrize("env", [None, "2"])
+    def test_sim_threads_follows_affinity(self, monkeypatch, env):
+        # a process pinned to one CPU of four runs one worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        if env is None:
+            monkeypatch.delenv("SIM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SIM_THREADS", env)
+        assert engine.sim_threads() == 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity sets")
+    def test_sim_threads_defaults_to_affinity_set(self, monkeypatch):
+        # the worker count perfbench gives every child it starts
+        monkeypatch.delenv("SIM_THREADS", raising=False)
+        assert engine.sim_threads() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity sets")
+    def test_pinned_process_starts_one_worker(self):
+        # the child pins only itself to one CPU; at SIM_THREADS=2 it starts
+        # one worker, and its moments equal SIM_THREADS=1's bit for bit
+        code = """if True:
+            import concurrent.futures, os
+            from homodyne_feedback import BlochState, RunConfig, SimParams, engine
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            pools = []
+
+            class Recording(concurrent.futures.ThreadPoolExecutor):
+                def __init__(self, max_workers):
+                    pools.append(max_workers)
+                    super().__init__(max_workers)
+
+            concurrent.futures.ThreadPoolExecutor = Recording
+            config = RunConfig(
+                params=SimParams(gamma=1.0, tau=1e-3, alpha=100.0), initial=BlochState.excited(),
+                n_steps=20, n_trajectories=2 * engine.BATCH_SIZE + 123, seed=6,
+            )
+            moments = []
+            for t in ("2", "1"):
+                os.environ["SIM_THREADS"] = t
+                res = engine.run_ensemble(config)
+                moments.append(b"".join(getattr(res, m).tobytes() for m in %r))
+            print(pools, moments[0] == moments[1])
+        """ % (MOMENTS,)
+        paths = (str(Path(engine.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p)),
+        )
+        assert proc.stdout.strip() == "[1, 1] True"
 
     # sha256 of the float64 bytes of mean, var and stderr (s_x, s_z each)
     PINNED = "13208a33268eba22ad135c07b8219784db1ca913e6f7909afa30ba630031f820"
