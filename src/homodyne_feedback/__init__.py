@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 _HOMES = {
     name: module
     for module, names in (
-        ("bloch", "BlochState SimParams apply_rotation rotation_angle"),
-        ("measurement", "SamplingMode pdf_vacuum conditional_pdf sample_records "
-                        "bayes_dipole_update"),
+        ("bloch", "BlochState SimParams apply_rotation rotation_angle exact_update"),
+        ("measurement", "SamplingMode pdf_vacuum conditional_pdf sample_records"),
         ("engine", "RunConfig EnsembleResult run_trajectory_arrays run_ensemble"),
         ("streams", "CounterStream stream_key"),
         ("fock", "SourceSpec FockField Pmf CutoffError beamsplitter_output delta_n_pmf "

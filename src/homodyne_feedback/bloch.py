@@ -127,3 +127,15 @@ def apply_rotation(state: BlochState, theta: float) -> BlochState:
     """Rotate the state by theta around the y-axis (exact, purity-preserving);
     a non-finite theta makes a non-finite angle, which BlochState refuses."""
     return BlochState(state.phi + theta)
+
+
+def exact_update(state: BlochState, delta_n: float, params: SimParams) -> BlochState:
+    """The state after one interval given its record, exactly: c_e|e> + c_g|g>
+    (c_e, c_g = cos, sin of phi/2) emits amplitude c_e*sqrt(gamma*tau), and a
+    one-photon source scales the vacuum's amplitude of delta_n by delta_n/alpha
+    (as in `fock`).  To first order this is the g = 0 rotation; a ground
+    state stays put."""
+    c_e, c_g = math.cos(0.5 * state.phi), math.sin(0.5 * state.phi)
+    excited = c_e * math.sqrt(1.0 - params.gamma_tau)
+    ground = c_g + c_e * math.sqrt(params.gamma_tau) * delta_n / params.alpha
+    return BlochState(2.0 * math.atan2(ground, excited))

@@ -244,7 +244,13 @@ def _check_fits(what: str, nbytes: int) -> None:
     allocates lazily, so memory would run out before any MemoryError)."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
-        raise MemoryError(f"{what} need ~{nbytes / 2**30:.3g} GiB of {memory / 2**30:.3g} GiB RAM")
+        try:
+            need = f"{nbytes / 2**30:.3g}"
+        except OverflowError:  # an estimate beyond float range; Decimal formats any int
+            from decimal import Decimal
+
+            need = f"{Decimal(nbytes) / 2**30:.3g}"
+        raise MemoryError(f"{what} need ~{need} GiB of {memory / 2**30:.3g} GiB RAM")
 
 
 def _run_config(values: dict, params: SimParams) -> RunConfig:

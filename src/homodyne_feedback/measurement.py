@@ -91,22 +91,3 @@ def sample_records(
             np.multiply(z[:, 0], params.alpha, out=out[k0:k1])
     return out
 
-
-def bayes_dipole_update(
-    state: BlochState, delta_n: float, params: SimParams
-) -> BlochState:
-    """Posterior reweighting of the dipole-eigenstate components.
-
-    Weights are updated by the component likelihoods G(delta_n; +/-mu, alpha^2);
-    with t = tanh(delta_n * sqrt(gamma*tau) / alpha) this gives
-    s_x' = (s_x + t) / (1 + s_x*t).  s_z is restored to the circle in the same
-    hemisphere (an infinitesimal update cannot cross the equator).  A dipole
-    eigenstate is unchanged: its s_z, the cosine of +-pi/2 as a double, is
-    6.1e-17, never 0, and its sx_new is +-1 exactly.
-    """
-    x = delta_n * math.sqrt(params.gamma_tau) / params.alpha
-    t = math.tanh(x)
-    sx = state.s_x
-    sx_new = (sx + t) / (1.0 + sx * t)
-    sz_new = math.copysign(math.sqrt(max(0.0, 1.0 - sx_new * sx_new)), state.s_z)
-    return BlochState(math.atan2(sx_new, sz_new))

@@ -16,10 +16,10 @@ from unittest import mock
 
 import numpy as np
 
-from .bloch import BlochState, SimParams, apply_rotation, rotation_angle
+from .bloch import BlochState, SimParams, apply_rotation, exact_update, rotation_angle
 from .engine import RunConfig, run_ensemble, run_trajectory_arrays
 from .fock import SourceSpec, delta_n_pmf, gaussian_distance, skellam_pmf
-from .measurement import SamplingMode, bayes_dipole_update, sample_records
+from .measurement import SamplingMode, sample_records
 from .streams import CounterStream
 from .analysis import drift_field
 
@@ -123,9 +123,9 @@ def check_diffusion_law() -> CheckResult:
 
 
 def check_weak_measurement_equivalence() -> CheckResult:
-    """Bayes dipole update vs the g=1 rotation: difference scales as
-    O(gamma tau) (per-decade ratio in [5, 20]) while the updates themselves
-    scale as O(sqrt(gamma tau))."""
+    """The g=0 rotation vs the exact one-interval map, emission included:
+    difference scales as O(gamma tau) (per-decade ratio in [5, 20]) while
+    the updates themselves scale as O(sqrt(gamma tau))."""
     state = BlochState(0.7)
     quantiles = [NormalDist().inv_cdf(k / 200.0) for k in range(1, 200)]
     diffs = []
@@ -136,11 +136,11 @@ def check_weak_measurement_equivalence() -> CheckResult:
         max_size = 0.0
         for v in quantiles:
             dn = v * params.alpha
-            theta = rotation_angle(state.s_z, dn, params, gain=1.0)
+            theta = rotation_angle(state.s_z, dn, params, gain=0.0)
             rot = apply_rotation(state, theta)
-            bay = bayes_dipole_update(state, dn, params)
+            exact = exact_update(state, dn, params)
             max_diff = max(
-                max_diff, abs(rot.s_x - bay.s_x), abs(rot.s_z - bay.s_z)
+                max_diff, abs(rot.s_x - exact.s_x), abs(rot.s_z - exact.s_z)
             )
             max_size = max(
                 max_size, abs(rot.s_x - state.s_x), abs(rot.s_z - state.s_z)

@@ -28,7 +28,7 @@ CRITERIA = [
 
 # sha256 of the `hdsim validate` report text: every measured value it quotes
 # is pinned, so a changed digit is an RNG or model change
-REPORT_PINNED = "549fcb9a68684c96f3f19ed1ea8ee6eac69e7aab570511fe4228c57d66331cae"
+REPORT_PINNED = "4c9efc0d6c4580383d56a4253d9d918d1a6daa7d19368723b496301971b3b9d3"
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +66,19 @@ def test_harness_detects_injected_gain_error(monkeypatch):
         validation, "RunConfig", lambda gain=0.0, **kw: real(gain=1.05 * gain, **kw)
     )
     assert not validation.check_fixed_points().passed
+
+
+def test_harness_detects_feedback_in_the_weak_measurement_rotation(monkeypatch):
+    # The exact map includes emission, which only the g = 0 rotation carries;
+    # compared with the g = 1 rotation its difference falls as sqrt(gamma tau),
+    # and the O(gamma tau) band must refuse it.
+    real = validation.rotation_angle
+    monkeypatch.setattr(
+        validation, "rotation_angle", lambda s_z, dn, params, gain=0.0: real(s_z, dn, params, 1.0)
+    )
+    result = validation.check_weak_measurement_equivalence()
+    assert not result.passed
+    assert result.detail.startswith("difference decade ratios ['3.8', '3.4']")
 
 
 def test_crashed_check_is_a_failed_check(monkeypatch):

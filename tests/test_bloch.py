@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 from homodyne_feedback import (
     BlochState,
     SimParams,
+    SourceSpec,
     apply_rotation,
+    beamsplitter_output,
+    delta_n_pmf,
+    exact_update,
     rotation_angle,
+    skellam_pmf,
 )
 
 PARAMS_GT01 = SimParams(gamma=1.0, tau=1e-2, alpha=100.0)
@@ -20,6 +25,28 @@ def linearized_update(state: BlochState, delta_n, params: SimParams, gain: float
     the reference the exact rotation is compared against."""
     theta = rotation_angle(state.s_z, delta_n, params, gain)
     return theta * state.s_z, -theta * state.s_x
+
+
+def exact_record_pmf(k, state: BlochState, params: SimParams):
+    """Law of one interval's record k, the one `exact_update` conditions on:
+    the vacuum's Skellam law times (1 - gamma*tau)*c_e^2 (the excited branch,
+    its source in vacuum) plus (c_g + c_e*sqrt(gamma*tau)*k/alpha)^2 (the
+    ground branch, whose one-photon part scales the vacuum amplitude by k/alpha)."""
+    c_e, c_g = math.cos(0.5 * state.phi), math.sin(0.5 * state.phi)
+    gt, alpha = params.gamma_tau, params.alpha
+    ground = c_g + c_e * math.sqrt(gt) * np.asarray(k) / alpha
+    return skellam_pmf(k, alpha**2 / 2, alpha**2 / 2) * ((1.0 - gt) * c_e**2 + ground**2)
+
+
+def branch_sources(state: BlochState, params: SimParams):
+    """The field each branch of one interval leaves: (weight, source) of the
+    excited branch (vacuum) and of the ground branch, c_g|0> +
+    c_e*sqrt(gamma*tau)|1> normalised by its weight."""
+    c_e, c_g = math.cos(0.5 * state.phi), math.sin(0.5 * state.phi)
+    gt = params.gamma_tau
+    n_g = c_g**2 + c_e**2 * gt
+    ground = SourceSpec.qubit(c_g / math.sqrt(n_g), c_e * math.sqrt(gt) / math.sqrt(n_g))
+    return ((1.0 - gt) * c_e**2, SourceSpec.vacuum()), (n_g, ground)
 
 
 class TestBlochState:
@@ -175,3 +202,58 @@ class TestLinearizedUpdate:
         errs = [self._max_component_error(t) for t in (1e-2, 1e-3, 1e-4)]
         for a, b in zip(errs, errs[1:]):
             assert 50.0 <= a / b <= 200.0
+
+
+class TestExactUpdate:
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # gamma*tau = 0.1 warns
+    @pytest.mark.parametrize("gt", [1e-4, 1e-2, 0.1])
+    def test_ground_state_stays_put(self, gt):
+        # a ground-state atom emits nothing, whatever its record
+        params = SimParams(gamma=1.0, tau=gt, alpha=10.0)
+        for dn in (-1e6, -30.0, -1.0, 0.0, 2.5, 25.0, 1e6):
+            assert exact_update(BlochState.ground(), dn, params).phi == math.pi
+
+    def test_first_order_match_with_no_feedback_rotation(self):
+        params = SimParams(gamma=1.0, tau=1e-4, alpha=100.0)
+        gt = params.gamma_tau
+        state = BlochState(0.8)
+        for v in (-2.5, -1.0, -0.3, 0.7, 1.8):
+            dn = v * params.alpha
+            rot = apply_rotation(state, rotation_angle(state.s_z, dn, params, gain=0.0))
+            exact = exact_update(state, dn, params)
+            assert abs(rot.s_x - exact.s_x) <= 10.0 * gt
+            assert abs(rot.s_z - exact.s_z) <= 10.0 * gt
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # gamma*tau above 0.01 warns
+@pytest.mark.parametrize("alpha", [6.0, 10.0, 14.0])
+@pytest.mark.parametrize("gt", [0.01, 0.05, 0.1])
+class TestExactUpdateAgainstOracle:
+    """The closed forms against the Fock oracle's brute-force beamsplitter."""
+
+    PHIS = (0.0, 0.7, -2.0, 2.9)
+
+    def test_record_law_is_the_sum_of_the_branches(self, alpha, gt):
+        params = SimParams(gamma=1.0, tau=gt, alpha=alpha)
+        for phi in self.PHIS:
+            state = BlochState(phi)
+            k = delta_n_pmf(alpha, SourceSpec.vacuum()).support()
+            oracle = np.zeros(len(k))
+            for weight, source in branch_sources(state, params):
+                pmf = delta_n_pmf(alpha, source)
+                oracle += weight * pmf.probabilities[k - pmf.offset]
+            assert np.max(np.abs(exact_record_pmf(k, state, params) - oracle)) <= 1e-12
+
+    def test_update_is_the_ratio_of_the_branch_cells(self, alpha, gt):
+        # record k within one width alpha of 0, read at its most likely cell
+        # (m, r = m - k), where m + r is nearest the mean photon count alpha^2
+        params = SimParams(gamma=1.0, tau=gt, alpha=alpha)
+        for phi in self.PHIS:
+            state = BlochState(phi)
+            (w_e, excited), (w_g, ground) = branch_sources(state, params)
+            a_e = math.sqrt(w_e) * beamsplitter_output(alpha, excited).amplitudes.real
+            a_g = math.sqrt(w_g) * beamsplitter_output(alpha, ground).amplitudes.real
+            for k in range(-round(alpha), round(alpha) + 1):
+                m = (round(alpha**2) + k) // 2
+                oracle = 2.0 * math.atan2(a_g[m, m - k], a_e[m, m - k])
+                assert abs(exact_update(state, k, params).phi - oracle) <= 1e-12

@@ -961,6 +961,8 @@ def _unreachable(*args):
         (["figure", "--kind", "record-histogram", "--samples", "100000000000"], "sample_records"),
         (["figure", "--kind", "record-histogram", "--bins", str(10**12)], "sample_records"),
         (["figure", "--kind", "drift-field", "--grid", str(10**11)], "drift_field"),
+        # each count fits a float, their estimate (~1e600 bytes) does not
+        (["simulate", "--steps", str(10**300), "--trajectories", str(10**300)], "run_ensemble"),
     ],
 )
 def test_output_above_physical_memory_exits_2(monkeypatch, tmp_path, capsys, argv, target):
@@ -974,6 +976,17 @@ def test_output_above_physical_memory_exits_2(monkeypatch, tmp_path, capsys, arg
     assert len(err) == 1 and err[0].startswith("error: ")
     assert err[0].endswith("GiB RAM")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "nbytes,need",
+    [(6 * 10**6 * 2**30, "6e+06"), (10**600, "9.31e+590")],
+    ids=["in-float-range", "beyond-float-range"],
+)
+def test_size_rule_formats_any_estimate(nbytes, need):
+    # an estimate in float range keeps the float's text; one beyond is still named
+    with pytest.raises(MemoryError, match=rf"^x need ~{re.escape(need)} GiB of \S+ GiB RAM$"):
+        cli._check_fits("x", nbytes)
 
 
 HUGE = "9" * 400  # converts to no float

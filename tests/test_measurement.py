@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chisquare, norm
 
@@ -12,12 +10,9 @@ from homodyne_feedback import (
     CounterStream,
     SamplingMode,
     SimParams,
-    apply_rotation,
-    bayes_dipole_update,
     conditional_pdf,
     pdf_vacuum,
     RunConfig,
-    rotation_angle,
     run_trajectory_arrays,
     sample_records,
 )
@@ -208,37 +203,3 @@ class TestSampler:
         _, p_value = chisquare(counts[keep], expected[keep] * scale)
         assert p_value > 1e-3
 
-
-class TestBayesUpdate:
-    def test_dipole_eigenstates_stationary(self):
-        for state in (BlochState.dipole_plus(), BlochState.dipole_minus()):
-            for dn in (-30.0, -1.0, 0.0, 2.0, 25.0):
-                assert bayes_dipole_update(state, dn, PARAMS).phi == state.phi
-
-    def test_zero_record_is_identity_on_sx(self):
-        state = BlochState(0.6)
-        assert bayes_dipole_update(state, 0.0, PARAMS).s_x == pytest.approx(
-            state.s_x, abs=1e-15
-        )
-
-    def test_hemisphere_preserved(self):
-        north = BlochState(0.3)
-        south = BlochState(2.8)
-        assert bayes_dipole_update(north, 10.0, PARAMS).s_z > 0
-        assert bayes_dipole_update(south, 10.0, PARAMS).s_z < 0
-
-    @given(st.floats(-3.0, 3.0), st.floats(-40.0, 40.0))
-    def test_stays_on_circle(self, phi, dn):
-        out = bayes_dipole_update(BlochState(phi), dn, PARAMS)
-        assert abs(out.s_x**2 + out.s_z**2 - 1.0) <= 1e-12
-
-    def test_first_order_match_with_compensated_rotation(self):
-        params = SimParams(gamma=1.0, tau=1e-4, alpha=100.0)
-        gt = params.gamma_tau
-        state = BlochState(0.8)
-        for v in (-2.5, -1.0, -0.3, 0.7, 1.8):
-            dn = v * params.alpha
-            rot = apply_rotation(state, rotation_angle(state.s_z, dn, params, gain=1.0))
-            bay = bayes_dipole_update(state, dn, params)
-            assert abs(rot.s_x - bay.s_x) <= 10.0 * gt
-            assert abs(rot.s_z - bay.s_z) <= 10.0 * gt
