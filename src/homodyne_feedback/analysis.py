@@ -56,7 +56,10 @@ def drift_field(params: SimParams, g: float, grid_size: int = 72) -> DriftField:
     mean_dn_given_pos = e_pos / p_pos
 
     amp = 1.0 + s_z - g
-    mean_rot = math.sqrt(gt) * amp * mean_dn_given_pos / params.alpha
+    with np.errstate(over="ignore"):  # refused below, naming the gain
+        mean_rot = math.sqrt(gt) * amp * mean_dn_given_pos / params.alpha
+    if not np.all(np.isfinite(mean_rot)):
+        raise ValueError(f"drift field overflows float64 at gain g = {g:g}")
     fixed = np.abs(amp) < _FIXED_POINT_TOL
     mean_rot = np.where(fixed, 0.0, mean_rot)
     return DriftField(phi=phi, mean_rotation_given_positive=mean_rot, fixed_point=fixed)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,3 +49,11 @@ class TestDriftField:
         top = np.argmin(np.abs(field.phi))  # excited state
         assert mags[top] == mags.max()
         assert field.fixed_point[np.argmin(np.abs(field.phi - math.pi))]
+
+    def test_overflowing_field_is_refused_naming_the_gain(self):
+        # the drift field has no full-turn bound: any finite gain is drawn
+        # unless its rotations overflow float64
+        assert np.all(np.isfinite(drift_field(PARAMS, 1e300).mean_rotation_given_positive))
+        for g in (1.7e308, -1.7e308):
+            with pytest.raises(ValueError, match=re.escape(f"overflows float64 at gain g = {g:g}")):
+                drift_field(PARAMS, g)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,11 +90,14 @@ class TestSimParams:
         with pytest.raises(ValueError, match=f"alpha must be finite and > 0, got {alpha}"):
             SimParams(gamma=1.0, tau=1e-3, alpha=alpha)
 
-    def test_weak_coupling_cap(self):
-        with pytest.raises(ValueError):
-            SimParams(gamma=1.0, tau=0.2, alpha=10.0)
-        with pytest.warns(UserWarning):
-            SimParams(gamma=1.0, tau=0.05, alpha=10.0)
+    def test_gamma_tau_range(self):
+        # gamma*tau is one interval's emission probability: (0, 1), nothing else
+        for gamma, tau, gt in ((1.0, 1.0, "1"), (2.0, 0.75, "1.5"), (1e-200, 1e-200, "0")):
+            message = f"gamma*tau = {gamma:g}*{tau:g} = {gt} is not in (0, 1)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SimParams(gamma=gamma, tau=tau, alpha=10.0)
+        with pytest.warns(UserWarning, match="weak-field"):
+            SimParams(gamma=1.0, tau=float(np.nextafter(1.0, 0.0)), alpha=10.0)
 
     def test_weak_coupling_warning_names_the_caller(self):
         # not the dataclass's generated __init__, which has no source file
@@ -223,6 +227,27 @@ class TestExactUpdate:
             exact = exact_update(state, dn, params)
             assert abs(rot.s_x - exact.s_x) <= 10.0 * gt
             assert abs(rot.s_z - exact.s_z) <= 10.0 * gt
+
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # gamma*tau = 0.1 warns
+    def test_model_error_does_not_depend_on_the_gain(self):
+        # the paper's step against exact_update followed by the same feedback
+        # turn, -g*sqrt(gamma*tau)*delta_n/alpha: the gap is g = 0's for every
+        # g, so gamma*tau alone sets the measurement's error, and the rotation
+        # scale warning guards the continuous-feedback limit instead
+        for gt in (1e-4, 1e-2, 0.1):
+            params = SimParams(gamma=1.0, tau=gt, alpha=100.0)
+            for phi in (0.0, 0.7, -2.0, 2.9):
+                state = BlochState(phi)
+                for v in (-2.5, -1.0, -0.3, 0.7, 1.8):
+                    dn = v * params.alpha
+                    exact = exact_update(state, dn, params).phi
+                    gaps = []
+                    for g in (0.0, 1.0, 2.0, -3.7, 7.3):
+                        paper = phi + rotation_angle(state.s_z, dn, params, g)
+                        feedback = -g * math.sqrt(gt) * dn / params.alpha
+                        gaps.append(math.remainder(paper - (exact + feedback), 2.0 * math.pi))
+                    assert max(abs(x - gaps[0]) for x in gaps) <= 1e-15
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # gamma*tau above 0.01 warns

@@ -197,16 +197,38 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["simulate", "--policy", "custom:10.5", "--steps", "5"],
             ["simulate", "--policy", "custom:nan", "--steps", "5"],
-            ["figure", "--kind", "drift-field", "--policy", "custom:-10.5"],
+            ["simulate", "--policy", "custom:inf", "--steps", "5"],
+            ["figure", "--kind", "drift-field", "--policy", "custom:-inf"],
         ],
     )
     def test_gain_out_of_range_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x"
         assert main([*argv, "--out", str(out)]) == 2
-        assert "custom gain must be finite with |g| <= 10.0" in capsys.readouterr().err
+        assert "custom gain must be finite, got " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,warned",
+        [
+            # |g| = 100 with a rotation scale of 0.1: no warning
+            (["--tau", "1e-6", "--policy", "custom:100"], []),
+            (["--policy", "custom:10.5"], ["rotation scale"]),
+            (["--tau", "0.3", "--policy", "compensate"], ["weak-field", "rotation scale"]),
+        ],
+        ids=["custom-100", "custom-10.5", "tau-0.3"],
+    )
+    def test_gain_below_the_full_turn_runs(self, tmp_path, argv, warned):
+        # a run's gain is bounded by the full-turn refusal alone
+        out = tmp_path / "ens.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", *argv, "--steps", "20", "--trajectories", "8",
+                         "--out", str(out)]) == 0
+        phrases = ("weak-field", "rotation scale")
+        assert [p for w in caught for p in phrases if p in str(w.message)] == warned
+        assert len(caught) == len(warned)
+        assert "nan" not in out.read_text()
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "", "0"])
     def test_bad_sim_threads_exits_2(self, tmp_path, monkeypatch, capsys, value):
@@ -262,12 +284,16 @@ class TestSimulate:
             (["simulate", "--tau", "0.1", "--policy", "custom:10", "--steps", "3",
               "--trajectories", "2"], "3.16"),
             (["figure", "--kind", "decay", "--tau", "0.01", "--policy", "custom:8"], "0.8"),
+            # the default gamma*tau = 1e-3 runs g in (-20.88, 22.88)
+            (["simulate", "--policy", "custom:25", "--steps", "3"], "0.791"),
+            # no feedback runs at gamma*tau < 0.1218
+            (["simulate", "--tau", "0.13", "--policy", "none", "--steps", "3"], "0.721"),
         ],
-        ids=["simulate", "figure-decay"],
+        ids=["simulate", "figure-decay", "custom-25", "tau-0.13"],
     )
     def test_full_turn_step_exits_2(self, tmp_path, capsys, recwarn, argv, scale):
         # one step could turn the atom by a full circle: refused before the
-        # rotation warning (gamma*tau = 0.1 still gives SimParams' warning)
+        # rotation warning (gamma*tau above 0.01 still gives SimParams' warning)
         assert main([*argv, "--out", str(tmp_path / "x")]) == 2
         message = f"error: per-step rotation scale {scale} lets one step turn by a full circle"
         assert capsys.readouterr().err.splitlines() == [message]
@@ -502,7 +528,13 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
         (["simulate", "--gamma", "1e-308", "--tau", "1e305", "--steps", "10000"],
          "n_steps * tau must be finite"),
         (["simulate", "--gamma", "1e-200", "--tau", "1e-200"],
-         "gamma*tau = 1e-200*1e-200 underflows to 0"),
+         "gamma*tau = 1e-200*1e-200 = 0 is not in (0, 1)"),
+        (["simulate", "--tau", "1"], "gamma*tau = 1*1 = 1 is not in (0, 1)"),
+        # the drift field has no full-turn bound, but its rotations must be finite
+        (["figure", "--kind", "drift-field", "--policy", "custom:1.7e308"],
+         "drift field overflows float64 at gain g = 1.7e+308"),
+        (["figure", "--kind", "drift-field", "--policy", "custom:-1.7e308"],
+         "drift field overflows float64 at gain g = -1.7e+308"),
         (["figure", "--kind", "record-histogram", "--sampling", "both"],
          "unknown sampling mode 'both'"),
         (["oracle", "--source", "coherent:1"], "coherent source needs RE,IM: 'coherent:1'"),
@@ -514,7 +546,8 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
         (["oracle", "--source", "qubit:1,0,0,y"],
          "bad source amplitude in 'qubit:1,0,0,y': could not convert string to float: 'y'"),
     ],
-    ids=["initial-angle", "initial-name", "format", "run-time", "gamma-tau", "sampling",
+    ids=["initial-angle", "initial-name", "format", "run-time", "gamma-tau", "tau-1",
+         "drift-field-gain-high", "drift-field-gain-low", "sampling",
          "coherent", "qubit", "source", "coherent-amplitude", "qubit-amplitude"],
 )
 def test_invalid_value_exits_2_with_one_line(tmp_path, capsys, argv, message):

@@ -745,7 +745,7 @@ class TestRotationRange:
         return g
 
     @pytest.mark.parametrize(
-        "gt,low,high", [(0.01, -5.179, 7.179), (0.1, -0.2155, 2.2155)]
+        "gt,low,high", [(0.01, -5.179, 7.179), (0.1, -0.2155, 2.2155), (1e-3, -20.88, 22.88)]
     )
     def test_first_gain_past_each_bound_is_refused_before_warning(self, gt, low, high):
         for side, expected in ((-1, low), (1, high)):
@@ -762,10 +762,19 @@ class TestRotationRange:
             assert np.array_equal(sums, history_sums(config.initial.phi, phi))
 
     # |g| <= 10 at every gamma*tau <= 3.6e-3 (g = -10 binds, with
-    # max(|2 - g|, |g|) = 12), and the named policies at every gamma*tau
-    @pytest.mark.parametrize("gt,g", [(3.6e-3, -10.0), (3.6e-3, 10.0), (0.1, 0.0), (0.1, 2.0)])
+    # max(|2 - g|, |g|) = 12); g = 0 and 2 below gamma*tau = 0.1218, g = 1
+    # below 0.4539 (max(|2 - g|, |g|) is 2 and 1)
+    @pytest.mark.parametrize(
+        "gt,g",
+        [(3.6e-3, -10.0), (3.6e-3, 10.0), (0.1, 0.0), (0.1, 2.0), (0.1217, 0.0), (0.1217, 2.0),
+         (0.4538, 1.0)],
+    )
     def test_accepted(self, gt, g):
         assert self.refused(gt, g)[0] is False
+
+    @pytest.mark.parametrize("gt,g", [(0.1219, 0.0), (0.1219, 2.0), (0.454, 1.0), (0.99, 1.0)])
+    def test_refused(self, gt, g):
+        assert self.refused(gt, g)[0] is True
 
 
 def _engine_calls(function=None):
