@@ -1,4 +1,4 @@
-"""The three special functions the oracle and the drift field take from scipy.
+"""The three special functions the oracle and `measurement` take from scipy.
 
 `gammaln` (log(n!) as gammaln(n + 1.0)), `ndtr` (the standard normal
 distribution function) and `ive` (the exponentially scaled modified Bessel

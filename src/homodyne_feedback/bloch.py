@@ -112,7 +112,7 @@ def rotation_angle(s_z, delta_n, params: SimParams, gain: float = 0.0, *, out=No
     """
     # one new array each at most, then in place (a scalar operand rebinds)
     theta = np.divide(delta_n, params.alpha, out=out)
-    theta *= math.sqrt(params.gamma * params.tau)
+    theta *= math.sqrt(params.gamma_tau)
     amplitude = np.add(s_z, 1.0, out=tmp)
     amplitude -= gain
     theta *= amplitude

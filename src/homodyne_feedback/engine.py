@@ -222,7 +222,7 @@ def run_trajectory_arrays(config: RunConfig, trajectory_index: int):
     """
     params = config.params
     alpha = params.alpha
-    sqrt_gt = math.sqrt(params.gamma * params.tau)
+    sqrt_gt = math.sqrt(params.gamma_tau)
     mu = record_shift(params)
     g = config.gain
     keys = stream_key(config.seed, np.asarray([trajectory_index], dtype=np.uint64))

@@ -2,12 +2,13 @@
 
 The vacuum model is the weak-field Gaussian of width |alpha|.  The
 conditional model is a two-component Gaussian mixture centered at
-+/- sqrt(gamma*tau)*|alpha| with dipole-eigenstate weights (1 +/- s_x)/2:
-it reduces to the vacuum Gaussian as gamma*tau -> 0 and makes positive
-records more likely for s_x = +1.  The engine's kernel and `sample_records`
-draw conditional records with `conditional_records`, and a sample's record i
-takes step i's draws of its stream (`streams.draws`), so a conditional sample
-starts with that trajectory's record (and at a fixed point, is its records).
++/- sqrt(gamma*tau)*|alpha| with dipole-eigenstate weights (1 +/- s_x)/2: it
+reduces to the vacuum Gaussian as gamma*tau -> 0, makes positive records more
+likely for s_x = +1, and has the mean `positive_record_mean` given a positive
+record.  The engine's kernel and `sample_records` draw conditional records
+with `conditional_records`, and a sample's record i takes step i's draws of
+its stream (`streams.draws`), so a conditional sample starts with that
+trajectory's record (and at a fixed point, is its records).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 
 import numpy as np
 
+from . import _special
 from .bloch import BlochState, SimParams
 from .streams import CounterStream, draws
 
@@ -53,6 +55,21 @@ def conditional_pdf(delta_n, state: BlochState, params: SimParams):
     p_minus = 0.5 * (1.0 - state.s_x)
     x = np.asarray(delta_n, dtype=float)
     return p_plus * pdf_vacuum(x - mu, params.alpha) + p_minus * pdf_vacuum(x + mu, params.alpha)
+
+
+def positive_record_mean(s_x, params: SimParams):
+    """E[delta_n | delta_n > 0] under `conditional_pdf` at s_x (a float or an
+    array): the mixture's E[delta_n 1{delta_n > 0}] over its P(delta_n > 0)."""
+    mu = record_shift(params)
+    sigma = params.alpha
+    p_plus = 0.5 * (1.0 + s_x)
+    p_minus = 0.5 * (1.0 - s_x)
+    t = mu / sigma
+    density = pdf_vacuum(t, 1.0)  # standard normal density at t
+    cdf_pos, cdf_neg = float(_special.ndtr(t)), float(_special.ndtr(-t))
+    e_pos = p_plus * (mu * cdf_pos + sigma * density) + p_minus * (-mu * cdf_neg + sigma * density)
+    p_pos = p_plus * cdf_pos + p_minus * cdf_neg
+    return e_pos / p_pos
 
 
 def conditional_records(u, z, s_x, params: SimParams, out=None, tmp=None, mask=None):

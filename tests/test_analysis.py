@@ -52,8 +52,13 @@ class TestDriftField:
 
     def test_overflowing_field_is_refused_naming_the_gain(self):
         # the drift field has no full-turn bound: any finite gain is drawn
-        # unless its rotations overflow float64
-        assert np.all(np.isfinite(drift_field(PARAMS, 1e300).mean_rotation_given_positive))
+        # unless its rotations overflow float64.  The turn sqrt(gamma*tau)*
+        # (dn/alpha)*(1 + s_z - g) stays below ~0.026*|1 + s_z - g| at
+        # gamma*tau = 1e-3, so the largest gains are drawn there, and overflow
+        # only where sqrt(gamma*tau) and dn/alpha approach 1
+        with pytest.warns(UserWarning, match="weak-field"):
+            strong = SimParams(gamma=1.0, tau=0.99, alpha=100.0)
         for g in (1.7e308, -1.7e308):
+            assert np.all(np.isfinite(drift_field(PARAMS, g).mean_rotation_given_positive))
             with pytest.raises(ValueError, match=re.escape(f"overflows float64 at gain g = {g:g}")):
-                drift_field(PARAMS, g)
+                drift_field(strong, g)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -530,10 +531,11 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
         (["simulate", "--gamma", "1e-200", "--tau", "1e-200"],
          "gamma*tau = 1e-200*1e-200 = 0 is not in (0, 1)"),
         (["simulate", "--tau", "1"], "gamma*tau = 1*1 = 1 is not in (0, 1)"),
-        # the drift field has no full-turn bound, but its rotations must be finite
-        (["figure", "--kind", "drift-field", "--policy", "custom:1.7e308"],
+        # the drift field has no full-turn bound, but its rotations must be
+        # finite: the largest gains overflow only as gamma*tau approaches 1
+        (["figure", "--kind", "drift-field", "--tau", "0.99", "--policy", "custom:1.7e308"],
          "drift field overflows float64 at gain g = 1.7e+308"),
-        (["figure", "--kind", "drift-field", "--policy", "custom:-1.7e308"],
+        (["figure", "--kind", "drift-field", "--tau", "0.99", "--policy", "custom:-1.7e308"],
          "drift field overflows float64 at gain g = -1.7e+308"),
         (["figure", "--kind", "record-histogram", "--sampling", "both"],
          "unknown sampling mode 'both'"),
@@ -551,7 +553,9 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
          "coherent", "qubit", "source", "coherent-amplitude", "qubit-amplitude"],
 )
 def test_invalid_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
-    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    # gamma*tau = 0.99 runs, with the weak-field warning, up to its refusal
+    with pytest.warns(UserWarning, match="weak-field") if "0.99" in argv else nullcontext():
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert list(tmp_path.iterdir()) == []  # no output, and no oracle summary
 
@@ -646,6 +650,17 @@ class TestFigure:
         pts = fixed_point_centers(out.read_text())
         assert len(pts) == 1
         assert pts[0][1] == pytest.approx(40.0, abs=1e-6)  # circle top = excited
+
+    @pytest.mark.parametrize("gain", ["1.7e308", "-1.7e308"])
+    def test_drift_field_draws_the_largest_gains(self, tmp_path, gain):
+        # at the default gamma*tau a step turns by at most ~0.026*|1 + s_z - g|,
+        # so a gain near float64's limit still draws every arrow finite
+        out = tmp_path / "fig.svg"
+        argv = ["figure", "--kind", "drift-field", "--policy", f"custom:{gain}"]
+        assert main([*argv, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text.count('class="drift-arrow"') == 72
+        assert not re.search(r"nan|inf", text, re.IGNORECASE)
 
     def test_drift_field_default_has_three_panels(self, tmp_path):
         out = tmp_path / "fig.svg"
@@ -780,6 +795,17 @@ class TestFigure:
         text = out.read_text()
         assert 'class="bin"' in text
         assert 'class="vacuum-pdf"' in text
+
+    def test_vacuum_histogram_ignores_initial_state(self, tmp_path):
+        # a vacuum record is alpha*z, whatever the atom's state: under the
+        # default --sampling vacuum, --initial changes no byte of the figure
+        figures = []
+        for initial in ("ground", "excited"):
+            out = tmp_path / f"{initial}.svg"
+            argv = ["figure", "--kind", "record-histogram", "--seed", "3", "--samples", "500"]
+            assert main([*argv, "--initial", initial, "--out", str(out)]) == 0
+            figures.append(out.read_bytes())
+        assert figures[0] == figures[1]
 
     def test_fixed_seed_svg_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -24,7 +24,7 @@ from homodyne_feedback import (
     run_trajectory_arrays,
     sample_records,
 )
-from homodyne_feedback import engine, streams
+from homodyne_feedback import analysis, engine, streams
 from homodyne_feedback.streams import box_muller, raw_words, stream_key, to_unit
 
 PARAMS = SimParams(gamma=1.0, tau=1e-3, alpha=100.0)
@@ -777,9 +777,9 @@ class TestRotationRange:
         assert self.refused(gt, g)[0] is True
 
 
-def _engine_calls(function=None):
-    """Names of the functions engine.py, or its named function, calls."""
-    tree = ast.parse(Path(engine.__file__).read_text())
+def _calls(module, function=None):
+    """Names of the functions a module, or its named function, calls."""
+    tree = ast.parse(Path(module.__file__).read_text())
     if function is not None:
         tree = next(n for n in tree.body if getattr(n, "name", None) == function)
     called = set()
@@ -793,22 +793,30 @@ def _engine_calls(function=None):
 def test_engine_runs_under_numpy_default_error_state():
     # SimParams bounds alpha so that no kernel float overflows; a silenced
     # error state would hide a future overflow from the RuntimeWarning filter
-    assert "errstate" not in _engine_calls()
+    assert "errstate" not in _calls(engine)
 
 
 def test_engine_wraps_by_one_turn():
     # RunConfig bounds a step's rotation below 2 pi, so one turn wraps every
     # angle the kernel and the stepper compute; a full reduction (remainder,
     # or BlochState's wrap of a given angle) is dead code
-    assert not {"remainder", "BlochState"} & _engine_calls()
+    assert not {"remainder", "BlochState"} & _calls(engine)
 
 
 def test_kernel_step_draws_records_and_rotations_from_their_modules():
     # the record and the rotation each have one array form, in measurement
     # and bloch; the kernel's step spells out neither (no centre, no division)
-    calls = _engine_calls("_advance")
+    calls = _calls(engine, "_advance")
     assert {"conditional_records", "rotation_angle"} <= calls
     assert not {"record_shift", "divide"} & calls
+
+
+def test_drift_field_turns_the_record_mean_with_the_step_rotation():
+    # the drift field composes measurement's positive-record mean and bloch's
+    # rotation; it spells out neither the record law nor the turn
+    calls = _calls(analysis, "drift_field")
+    assert {"positive_record_mean", "rotation_angle"} <= calls
+    assert not {"sqrt", "ndtr", "record_shift", "pdf_vacuum"} & calls
 
 
 class TestRunConfigValidation:

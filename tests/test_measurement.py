@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,11 @@ from homodyne_feedback import (
     run_trajectory_arrays,
     sample_records,
 )
-from homodyne_feedback.measurement import conditional_records, record_shift
+from homodyne_feedback.measurement import (
+    conditional_records,
+    positive_record_mean,
+    record_shift,
+)
 
 PARAMS = SimParams(gamma=1.0, tau=1e-2, alpha=10.0)
 
@@ -92,6 +97,29 @@ class TestConditionalPdf:
         assert second - mean**2 == pytest.approx(
             conditional_variance(state, PARAMS), abs=1e-6
         )
+
+
+class TestPositiveRecordMean:
+    @pytest.mark.parametrize("gamma_tau", [1e-4, 1e-3, 0.1])
+    def test_matches_quadrature_of_conditional_pdf(self, gamma_tau):
+        # E[dn | dn > 0] = int_0 x p / int_0 p, past the weak-field warning at 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            params = SimParams(gamma=1.0, tau=gamma_tau, alpha=10.0)
+        states = [BlochState(math.asin(s_x)) for s_x in (-1.0, -0.3, 0.0, 0.8, 1.0)]
+        hi = 20.0 * params.alpha
+        for state in states:
+            kw = dict(args=(state, params), epsabs=0.0, epsrel=1e-13, limit=200)
+            mass, _ = quad(conditional_pdf, 0.0, hi, **kw)
+            first, _ = quad(lambda x, *a: x * conditional_pdf(x, *a), 0.0, hi, **kw)
+            assert positive_record_mean(state.s_x, params) == pytest.approx(
+                first / mass, rel=1e-9
+            )
+        # an array of s_x gives each value's float bit for bit
+        s_x = np.array([state.s_x for state in states])
+        assert positive_record_mean(s_x, params).tolist() == [
+            positive_record_mean(v, params) for v in s_x.tolist()
+        ]
 
 
 class TestSampler:
