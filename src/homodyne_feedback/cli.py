@@ -68,13 +68,6 @@ def parse_initial(text: str) -> BlochState:
     raise ValueError(f"unknown initial state {text!r}")
 
 
-def parse_sampling(text: str) -> SamplingMode:
-    try:
-        return SamplingMode(text)
-    except ValueError as exc:
-        raise ValueError(f"unknown sampling mode {text!r}") from exc
-
-
 def _amplitudes(text: str, names: str) -> list[complex]:
     """The complex amplitudes of the --source value `kind:names`, each given
     as its real and imaginary part."""
@@ -144,16 +137,22 @@ def effective(args, spec: dict[str, tuple], file_values=None):
             raise ValueError(f"{where}: {exc}") from exc
     if out["out"] is None:
         raise ValueError("--out is required")
-    # raised before any work, as opening the path to write would; the oracle's
-    # summary sits beside --out
-    for path in (out["out"], out.get("dump-trajectories")):
+    dump = out.get("dump-trajectories")
+    if dump and os.path.realpath(dump) == os.path.realpath(out["out"]):
+        raise ValueError(f"--out and --dump-trajectories name the same file: {dump!r}")
+    _check_writable(out["out"], dump)
+    return out
+
+
+def _check_writable(*paths) -> None:
+    """Raise, before any work, the error opening each path to write would."""
+    for path in paths:
         if path is None:
             continue
         if not path or not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    return out
 
 
 # A spec maps each key a command reads, as a flag and a config key, to its
@@ -170,16 +169,16 @@ _RUN_SPEC = {
     "seed": (int, 0),
 }
 
-# Figure kind -> its spec; every kind also takes --kind and --out.  With no
-# --policy the drift field draws all three panels.  In this order the kinds'
-# union lists its keys in --help order.
+# Figure kind -> its spec, besides --kind and --out.  With no --policy the drift
+# field draws all three panels; with no --initial the histogram, vacuum records.
+# In this order the kinds' union lists its keys in --help order.
 _FIGURE_KINDS = {
     "decay": _RUN_SPEC,
     "record-histogram": {
-        **_PARAMS, "initial": (str, "excited"), "sampling": (str, "vacuum"),
-        "seed": (int, 0), "samples": (int, 100_000), "bins": (int, 100),
+        **_PARAMS, "initial": (str, None), "seed": (int, 0), "samples": (int, 100_000),
+        "bins": (int, 100),
     },
-    "drift-field": {**_PARAMS, "policy": (str, None), "grid": (int, 72)},
+    "drift-field": {**_PARAMS, "policy": (str, None)},
 }
 _FIGURE_VALUES = {k: v for spec in _FIGURE_KINDS.values() for k, v in spec.items()}
 
@@ -230,13 +229,11 @@ def _rows(columns):
 # (CPython 3.11, numpy 2.4).  A statistics row is the slope of `simulate`'s
 # peak between 2,000 and 42,000 steps (10 trajectories): 311 B a step as
 # JSON, whose columns are lists, and 76 B as CSV, whose rows are converted a
-# block at a time; both are streamed to the file.  A drift-field grid
-# point costs 347 B a panel, the same slope of `figure --kind drift-field`.
-# A record costs 8.3 B, the slope of `figure --kind record-histogram`
-# between 100,000 and 2,100,000 samples of either law: the records
-# themselves, since the sampler draws in the generator's fixed chunks.
+# block at a time; both are streamed to the file.  A record costs 8.3 B, the
+# slope of `figure --kind record-histogram` between 100,000 and 2,100,000
+# samples of either law: the records themselves, since the sampler draws in
+# the generator's fixed chunks.
 _RECORD_BYTES, _BIN_BYTES, _SUM_BYTES, _ROW_BYTES, _DUMP_BYTES = 9, 410, 8, 315, 78
-_GRID_BYTES = 348
 
 
 def _check_fits(what: str, nbytes: int) -> None:
@@ -309,6 +306,8 @@ def _dump_rows(config: RunConfig):
 
 def cmd_oracle(args) -> int:
     values = effective(args, _SPECS["oracle"])
+    summary_path = Path(values["out"]).with_suffix(".summary.json")
+    _check_writable(str(summary_path))
     source = parse_source(values["source"])
     pmf = delta_n_pmf(values["alpha"], source)
 
@@ -330,7 +329,6 @@ def cmd_oracle(args) -> int:
         mu = values["alpha"] ** 2 / 2.0
         ref = skellam_pmf(pmf.support(), mu, mu)
         summary["skellam_max_abs_err"] = float(np.max(np.abs(probs - ref)))
-    summary_path = Path(values["out"]).with_suffix(".summary.json")
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     return 0
 
@@ -355,9 +353,7 @@ def cmd_figure(args) -> int:
     if kind == "drift-field":
         policies = list(_POLICIES) if values["policy"] is None else [values["policy"]]
         gains = [parse_policy(p) for p in policies]
-        nbytes = len(gains) * values["grid"] * _GRID_BYTES
-        _check_fits(f"{len(gains)} panels x {values['grid']} angles", nbytes)
-        fields = [drift_field(params, g, values["grid"]) for g in gains]
+        fields = [drift_field(params, g) for g in gains]
         labels = [
             _POLICIES[p][1] if p in _POLICIES else f"Custom gain {g:g}"
             for p, g in zip(policies, gains)
@@ -371,13 +367,12 @@ def cmd_figure(args) -> int:
                 raise ValueError(f"{key} must be >= 1, got {values[key]}")
         nbytes = values["samples"] * _RECORD_BYTES + values["bins"] * _BIN_BYTES
         _check_fits(f"{values['samples']} records in {values['bins']} bins", nbytes)
-        state = parse_initial(values["initial"])
-        mode = parse_sampling(values["sampling"])
+        state = None if values["initial"] is None else parse_initial(values["initial"])
+        mode = SamplingMode.VACUUM if state is None else SamplingMode.CONDITIONAL
         rng = CounterStream(values["seed"], 0)
         records = sample_records(state, params, mode, rng, values["samples"])
-        law = None  # the law that drew the records; None is the vacuum law
-        if mode is SamplingMode.CONDITIONAL:
-            law = partial(conditional_pdf, state=state, params=params)
+        # the law that drew the records; None is the vacuum law
+        law = None if state is None else partial(conditional_pdf, state=state, params=params)
         svg = histogram_svg(records, values["bins"], params.alpha, law)
     Path(values["out"]).write_text(svg)
     return 0

@@ -25,7 +25,7 @@ from .streams import CounterStream, draws
 
 class SamplingMode(enum.Enum):
     """Record law of `sample_records`: dynamics always draws conditional
-    records; vacuum samples feed the record histogram."""
+    records; the record histogram draws vacuum ones unless given a state."""
 
     VACUUM = "vacuum"
     CONDITIONAL = "conditional"
@@ -96,8 +96,8 @@ def sample_records(
 ) -> np.ndarray:
     """i.i.d. draws from the mode's distribution at a fixed state: record i
     takes step i's draws (u, z) of rng's stream, as a trajectory's step i
-    does.  A vacuum record is alpha*z; a conditional one is
-    `conditional_records`' +-mu + alpha*z."""
+    does.  A vacuum record is alpha*z, which reads no state (state may be
+    None); a conditional one is `conditional_records`' +-mu + alpha*z."""
     if size < 0:
         raise ValueError(f"sample size must be >= 0, got {size}")
     out = np.empty(size)

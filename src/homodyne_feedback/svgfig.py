@@ -45,7 +45,7 @@ def _panel(field: DriftField, label: str, cx: float, cy: float, radius: float) -
     ]
     rot = field.mean_rotation_given_positive
     scale = 0.0
-    max_rot = float(np.max(np.abs(rot))) if len(rot) else 0.0
+    max_rot = float(np.max(np.abs(rot)))
     if max_rot > 0.0:
         scale = 0.35 * radius / max_rot
     for phi, r, fixed in zip(field.phi, rot, field.fixed_point):

@@ -232,7 +232,7 @@ def check_drift_field_pattern() -> CheckResult:
         (1.0, {-math.pi / 2.0, math.pi / 2.0}, "compensation"),
         (2.0, {0.0}, "inversion"),
     ]:
-        field = drift_field(_PARAMS, g, grid_size=72)
+        field = drift_field(_PARAMS, g)
         found = {float(p) for p, f in zip(field.phi, field.fixed_point) if f}
         dots_ok = len(found) == len(expect_phis) and all(
             any(abs(p - e) < 1e-9 for p in found) for e in expect_phis

@@ -10,10 +10,6 @@ PARAMS = SimParams(gamma=1.0, tau=1e-3, alpha=100.0)
 
 
 class TestDriftField:
-    def test_grid_size_validation(self):
-        with pytest.raises(ValueError):
-            drift_field(PARAMS, 0.0, grid_size=3)
-
     @pytest.mark.parametrize(
         "g,expected",
         [
@@ -23,20 +19,20 @@ class TestDriftField:
         ],
     )
     def test_fixed_points(self, g, expected):
-        field = drift_field(PARAMS, g, grid_size=72)
+        field = drift_field(PARAMS, g)
         found = sorted(p for p, f in zip(field.phi, field.fixed_point) if f)
         assert len(found) == len(expected)
         for p, e in zip(found, sorted(expected)):
             assert p == pytest.approx(e, abs=1e-9)
 
     def test_fixed_point_flag_matches_amplitude_zero(self):
-        field = drift_field(PARAMS, 1.0, grid_size=144)
+        field = drift_field(PARAMS, 1.0)
         amp = 1.0 + np.cos(field.phi) - 1.0
         assert np.array_equal(field.fixed_point, np.abs(amp) < 1e-12)
 
     def test_arrow_sign_follows_gained_amplitude(self):
         for g in (0.0, 1.0, 2.0, 0.5):
-            field = drift_field(PARAMS, g, grid_size=72)
+            field = drift_field(PARAMS, g)
             amp = 1.0 + np.cos(field.phi) - g
             live = ~field.fixed_point
             assert np.all(
@@ -44,7 +40,7 @@ class TestDriftField:
             )
 
     def test_no_feedback_extremes(self):
-        field = drift_field(PARAMS, 0.0, grid_size=72)
+        field = drift_field(PARAMS, 0.0)
         mags = np.abs(field.mean_rotation_given_positive)
         top = np.argmin(np.abs(field.phi))  # excited state
         assert mags[top] == mags.max()

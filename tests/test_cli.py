@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import homodyne_feedback
-from homodyne_feedback import EnsembleResult, analysis, cli, validation
+from homodyne_feedback import EnsembleResult, cli, validation
 from homodyne_feedback.cli import CSV_HEADER, TRAJ_HEADER, main
 from homodyne_feedback.svgfig import histogram_svg
 
@@ -189,6 +189,20 @@ class TestSimulate:
                 "--dump-trajectories", str(tmp_path / "missing" / "traj.csv"),
             ]
         ) == 3
+
+    @pytest.mark.parametrize("dump", ["ens.csv", "./ens.csv", "link.csv"])
+    def test_dump_onto_out_exits_2_before_computing(self, tmp_path, monkeypatch, capsys, dump):
+        # the dump would overwrite the statistics: any spelling of one file,
+        # a symbolic link to it among them, is refused before the run
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_ensemble", _unreachable)
+        (tmp_path / "link.csv").symlink_to(tmp_path / "ens.csv")
+        argv = ["simulate", "--out", "ens.csv", "--dump-trajectories", dump]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out and --dump-trajectories name the same file: {dump!r}"
+        ]
+        assert list(tmp_path.iterdir()) == [tmp_path / "link.csv"]
 
     def test_invalid_policy_exits_2(self, tmp_path):
         assert main(
@@ -483,6 +497,18 @@ class TestOracle:
         assert capsys.readouterr().err == "error: output norm 1.00000000178 deviates from 1\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_summary_path_a_directory_exits_3_writing_nothing(self, tmp_path, monkeypatch, capsys):
+        # the summary beside --out is checked with it, before the pmf is built
+        monkeypatch.setattr(cli, "delta_n_pmf", _unreachable)
+        summary = tmp_path / "pmf.summary.json"
+        summary.mkdir()
+        out = tmp_path / "pmf.csv"
+        assert main(["oracle", "--alpha", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"I/O error: [Errno 21] Is a directory: {str(summary)!r}"
+        ]
+        assert not out.exists()
+
     def test_cutoff_is_not_settable(self, tmp_path, capsys):
         # the oracle sizes its truncation from the amplitudes alone
         out = tmp_path / "pmf.csv"
@@ -537,8 +563,8 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
          "drift field overflows float64 at gain g = 1.7e+308"),
         (["figure", "--kind", "drift-field", "--tau", "0.99", "--policy", "custom:-1.7e308"],
          "drift field overflows float64 at gain g = -1.7e+308"),
-        (["figure", "--kind", "record-histogram", "--sampling", "both"],
-         "unknown sampling mode 'both'"),
+        (["figure", "--kind", "record-histogram", "--initial", "sideways"],
+         "unknown initial state 'sideways'"),
         (["oracle", "--source", "coherent:1"], "coherent source needs RE,IM: 'coherent:1'"),
         (["oracle", "--source", "qubit:1,0,0"],
          "qubit source needs C0RE,C0IM,C1RE,C1IM: 'qubit:1,0,0'"),
@@ -549,7 +575,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
          "bad source amplitude in 'qubit:1,0,0,y': could not convert string to float: 'y'"),
     ],
     ids=["initial-angle", "initial-name", "format", "run-time", "gamma-tau", "tau-1",
-         "drift-field-gain-high", "drift-field-gain-low", "sampling",
+         "drift-field-gain-high", "drift-field-gain-low", "histogram-initial",
          "coherent", "qubit", "source", "coherent-amplitude", "qubit-amplitude"],
 )
 def test_invalid_value_exits_2_with_one_line(tmp_path, capsys, argv, message):
@@ -612,7 +638,7 @@ def test_figure_values_are_the_kinds_union_in_help_order():
     assert list(cli._SPECS["figure"]) == ["kind", *cli._FIGURE_VALUES, "out"]
     assert list(cli._FIGURE_VALUES) == [
         "gamma", "tau", "alpha", "policy", "initial", "steps", "trajectories", "seed",
-        "sampling", "samples", "bins", "grid",
+        "samples", "bins",
     ]
     # test_kind_table_covers_every_value checks the keys are the kinds' union;
     # a flag parses its value one way, whichever kind reads it
@@ -641,6 +667,14 @@ class TestFigure:
         cx, cy = pts[0]
         assert cx == pytest.approx(150.0, abs=1e-6)
         assert cy == pytest.approx(240.0, abs=1e-6)  # circle bottom = ground
+
+    def test_drift_field_compensation_dots_at_sides(self, tmp_path):
+        # the dipole eigenstates, s_x = -1 on the left and +1 on the right
+        out = tmp_path / "fig.svg"
+        argv = ["figure", "--kind", "drift-field", "--policy", "compensate", "--out", str(out)]
+        assert main(argv) == 0
+        pts = sorted(fixed_point_centers(out.read_text()))
+        assert pts == [pytest.approx((50.0, 140.0)), pytest.approx((250.0, 140.0))]
 
     def test_drift_field_inversion_dot_at_top(self, tmp_path):
         out = tmp_path / "fig.svg"
@@ -696,8 +730,8 @@ class TestFigure:
     # a valid, cheap setting of each value a figure kind may read
     VALID = {
         "gamma": "1", "tau": "1e-3", "alpha": "100", "policy": "compensate",
-        "sampling": "conditional", "initial": "dipole+", "steps": "5",
-        "trajectories": "5", "seed": "1", "samples": "100", "bins": "10", "grid": "8",
+        "initial": "dipole+", "steps": "5", "trajectories": "5", "seed": "1",
+        "samples": "100", "bins": "10",
     }
     UNREAD = [
         (kind, key) for kind, reads in cli._FIGURE_KINDS.items()
@@ -708,8 +742,8 @@ class TestFigure:
         assert set(self.VALID) == set(cli._FIGURE_VALUES)
         read = [key for reads in cli._FIGURE_KINDS.values() for key in reads]
         assert set(read) == set(cli._FIGURE_VALUES)
-        # 3 kinds x 12 values, of which each kind reads 5 to 8
-        assert (len(read), len(self.UNREAD)) == (21, 15)
+        # 3 kinds x 10 values, of which each kind reads 4 to 8
+        assert (len(read), len(self.UNREAD)) == (19, 11)
 
     @pytest.mark.parametrize("kind,key", UNREAD)
     def test_unread_flag_exits_2(self, tmp_path, capsys, kind, key):
@@ -743,6 +777,24 @@ class TestFigure:
         out = tmp_path / "x.svg"
         assert main(["figure", *argv, "--out", str(out)]) == 0
         assert out.read_text().rstrip().endswith("</svg>")
+
+    @pytest.mark.parametrize(
+        "kind,key,value",
+        [("record-histogram", "sampling", "conditional"), ("drift-field", "grid", "8")],
+    )
+    def test_retired_value_exits_2(self, tmp_path, capsys, kind, key, value):
+        # --initial alone picks the histogram's record law, and the drift
+        # field draws one fixed grid: neither retired name is read
+        out = tmp_path / "x.svg"
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--kind", kind, f"--{key}", value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
+        cfg = tmp_path / "fig.cfg"
+        cfg.write_text(f"kind={kind}\n{key}={value}\n")
+        assert main(["figure", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:2: unknown key {key!r}"]
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_kind_flag_overrides_config_kind(self, tmp_path, capsys):
         cfg = tmp_path / "fig.cfg"
@@ -796,16 +848,17 @@ class TestFigure:
         assert 'class="bin"' in text
         assert 'class="vacuum-pdf"' in text
 
-    def test_vacuum_histogram_ignores_initial_state(self, tmp_path):
-        # a vacuum record is alpha*z, whatever the atom's state: under the
-        # default --sampling vacuum, --initial changes no byte of the figure
-        figures = []
-        for initial in ("ground", "excited"):
-            out = tmp_path / f"{initial}.svg"
-            argv = ["figure", "--kind", "record-histogram", "--seed", "3", "--samples", "500"]
-            assert main([*argv, "--initial", initial, "--out", str(out)]) == 0
-            figures.append(out.read_bytes())
-        assert figures[0] == figures[1]
+    def test_initial_picks_the_record_law(self, tmp_path):
+        # no --initial draws vacuum records under the vacuum law alone;
+        # --initial draws the atom's conditional records and overlays their law
+        argv = ["figure", "--kind", "record-histogram", "--seed", "3", "--samples", "500"]
+        out = tmp_path / "x.svg"
+        assert main([*argv, "--out", str(out)]) == 0
+        curves = re.findall(r'class="([a-z]+-pdf|legend)"', out.read_text())
+        assert curves == ["vacuum-pdf"]
+        assert main([*argv, "--initial", "dipole+", "--out", str(out)]) == 0
+        curves = re.findall(r'class="([a-z]+-pdf|legend)"', out.read_text())
+        assert curves == ["conditional-pdf", "vacuum-pdf", "legend"]
 
     def test_fixed_seed_svg_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -946,8 +999,8 @@ class TestOutputsPinned:
             "72afae442635e511985e18b5d4c1d9177205ff0d3bc989b7f79e4bd13a18dddf",
         ),
         "record-histogram-conditional": (
-            ["figure", "--kind", "record-histogram", "--sampling", "conditional",
-             "--initial", "dipole+", "--samples", "3000", "--seed", "9"],
+            ["figure", "--kind", "record-histogram", "--initial", "dipole+",
+             "--samples", "3000", "--seed", "9"],
             "1dd737c52779cfa2453d441e21a3533165a4e0bfec9dc992a5b243872a13b186",
         ),
     }
@@ -1019,16 +1072,15 @@ def _unreachable(*args):
         (["figure", "--kind", "decay", "--steps", "20000000000"], "run_ensemble"),
         (["figure", "--kind", "record-histogram", "--samples", "100000000000"], "sample_records"),
         (["figure", "--kind", "record-histogram", "--bins", str(10**12)], "sample_records"),
-        (["figure", "--kind", "drift-field", "--grid", str(10**11)], "drift_field"),
+        (["figure", "--kind", "decay", "--trajectories", str(10**15)], "run_ensemble"),
         # each count fits a float, their estimate (~1e600 bytes) does not
         (["simulate", "--steps", str(10**300), "--trajectories", str(10**300)], "run_ensemble"),
     ],
 )
 def test_output_above_physical_memory_exits_2(monkeypatch, tmp_path, capsys, argv, target):
     # numpy allocates lazily, so these would exhaust memory rather than raise
-    # MemoryError: the size rule refuses them before anything is allocated.
-    # cmd_figure imports drift_field from analysis when it runs.
-    monkeypatch.setattr(analysis if target == "drift_field" else cli, target, _unreachable)
+    # MemoryError: the size rule refuses them before anything is allocated
+    monkeypatch.setattr(cli, target, _unreachable)
     out = tmp_path / "x"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -1057,7 +1109,7 @@ HUGE = "9" * 400  # converts to no float
         (["simulate", "--steps", HUGE], "run_ensemble"),
         (["figure", "--kind", "decay", "--steps", HUGE], "run_ensemble"),
         (["simulate", "--trajectories", HUGE], "run_ensemble"),
-        (["figure", "--kind", "drift-field", "--grid", HUGE], "drift_field"),
+        (["figure", "--kind", "decay", "--trajectories", HUGE], "run_ensemble"),
         (["figure", "--kind", "record-histogram", "--samples", HUGE], "sample_records"),
         (["figure", "--kind", "record-histogram", "--bins", HUGE], "sample_records"),
     ],
@@ -1065,7 +1117,7 @@ HUGE = "9" * 400  # converts to no float
 def test_integer_too_large_for_a_float_exits_2(monkeypatch, tmp_path, capsys, argv, target):
     # the run's checks and the size rule compute with floats: such a flag is
     # refused by name as invalid before anything is sized
-    monkeypatch.setattr(analysis if target == "drift_field" else cli, target, _unreachable)
+    monkeypatch.setattr(cli, target, _unreachable)
     out = tmp_path / "x"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -1078,7 +1130,7 @@ def test_integer_too_large_for_a_float_exits_2(monkeypatch, tmp_path, capsys, ar
     [
         (["simulate"], "steps", "run_ensemble"),
         (["simulate"], "trajectories", "run_ensemble"),
-        (["figure", "--kind", "drift-field"], "grid", "drift_field"),
+        (["figure", "--kind", "decay"], "steps", "run_ensemble"),
         (["figure", "--kind", "record-histogram"], "samples", "sample_records"),
         (["figure", "--kind", "record-histogram"], "bins", "sample_records"),
     ],
@@ -1086,7 +1138,7 @@ def test_integer_too_large_for_a_float_exits_2(monkeypatch, tmp_path, capsys, ar
 def test_integer_too_large_for_a_float_in_config_exits_2(
     monkeypatch, tmp_path, capsys, command, key, target
 ):
-    monkeypatch.setattr(analysis if target == "drift_field" else cli, target, _unreachable)
+    monkeypatch.setattr(cli, target, _unreachable)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key}={HUGE}\n")
     out = tmp_path / "x"
@@ -1201,14 +1253,14 @@ def test_simulate_csv_holds_no_python_column(traced_after_run):
     assert per_step <= np.dtype(np.float64).itemsize
 
 
-@pytest.mark.parametrize("sampling", ["vacuum", "conditional"])
-def test_record_histogram_peak_per_sample_within_size_rule(tmp_path, sampling):
+@pytest.mark.parametrize("initial", [[], ["--initial", "dipole+"]], ids=["vacuum", "conditional"])
+def test_record_histogram_peak_per_sample_within_size_rule(tmp_path, initial):
     # the size rule's cost of a record holds; the records are the one array
     # that grows with --samples, since the sampler draws in the generator's
     # fixed chunks (separate uniform, normal and centre arrays took ~48 B a
     # vacuum and ~56 B a conditional sample)
     def peak(samples):
-        argv = ["figure", "--kind", "record-histogram", "--sampling", sampling,
+        argv = ["figure", "--kind", "record-histogram", *initial,
                 "--samples", str(samples), "--out", str(tmp_path / "x.svg")]
         tracemalloc.start()
         try:

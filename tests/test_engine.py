@@ -1,4 +1,5 @@
 import ast
+import cmath
 import concurrent.futures
 import hashlib
 import math
@@ -478,6 +479,54 @@ class TestRunEnsemble:
         theta = rotation_angle(1.0, dn, PARAMS, 0.0)
         ratio = np.var(theta) / (PARAMS.gamma_tau * np.var(dn / PARAMS.alpha))
         assert ratio == pytest.approx(4.0, rel=0.02)
+
+
+class TestOneStepMoments:
+    """Step 1's four moment columns against the paper step in closed form.
+    From phi with gain g the step turns by b*(+-sqrt(gamma*tau) + z), with
+    b = sqrt(gamma*tau)*(1 + cos(phi) - g) and the sign + with probability
+    (1 + sin(phi))/2, so psi = phi + theta has E[exp(i j psi)] = exp(i j phi)*C_j,
+    C_j = exp(-(j b)^2/2)*(cos(j b sqrt(gamma*tau)) + i sin(phi) sin(j b sqrt(gamma*tau)))."""
+
+    N = 1_000_000
+    # Phi^-1(1 - 1e-3 / 64): 32 two-sided comparisons at a family-wise
+    # false-fail rate of 1e-3
+    K = 4.2
+
+    @staticmethod
+    def raw_moments(phi, g, gamma_tau):
+        """E[sin^k psi], then E[cos^k psi], for k = 1..4, by power reduction."""
+        r = math.sqrt(gamma_tau)
+        b = r * (1.0 + math.cos(phi) - g)
+        m = [1.0] + [
+            cmath.exp(1j * j * phi) * math.exp(-0.5 * (j * b) ** 2)
+            * complex(math.cos(j * b * r), math.sin(phi) * math.sin(j * b * r))
+            for j in range(1, 5)
+        ]
+        sin = (m[1].imag, (1 - m[2].real) / 2, (3 * m[1].imag - m[3].imag) / 4,
+               (3 - 4 * m[2].real + m[4].real) / 8)
+        cos = (m[1].real, (1 + m[2].real) / 2, (3 * m[1].real + m[3].real) / 4,
+               (3 + 4 * m[2].real + m[4].real) / 8)
+        return sin, cos
+
+    @pytest.mark.parametrize("gamma_tau,seed", [(1e-2, 31), (1e-3, 32)])
+    def test_moments_match_the_characteristic_function(self, gamma_tau, seed):
+        params = SimParams(gamma=1.0, tau=gamma_tau, alpha=100.0)
+        deviates = {}
+        for phi, g in [(0.0, 0.0), (0.7, 0.0), (0.7, 0.5), (-2.0, 1.5)]:
+            config = RunConfig(
+                params=params, gain=g, initial=BlochState(phi), n_steps=1,
+                n_trajectories=self.N, seed=seed,
+            )
+            res = run_ensemble(config)
+            for axis, (m1, m2, m3, m4) in zip(("sx", "sz"), self.raw_moments(phi, g, gamma_tau)):
+                var = m2 - m1**2
+                mu4 = m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4  # fourth central moment
+                mean_se, var_se = math.sqrt(var / self.N), math.sqrt((mu4 - var**2) / self.N)
+                deviates[phi, g, "mean_" + axis] = (getattr(res, "mean_" + axis)[1] - m1) / mean_se
+                deviates[phi, g, "var_" + axis] = (getattr(res, "var_" + axis)[1] - var) / var_se
+        worst = max(deviates, key=lambda k: abs(deviates[k]))
+        assert abs(deviates[worst]) <= self.K, (worst, deviates[worst])
 
 
 class TestChunking:

@@ -58,23 +58,24 @@ class TestRecordHistogram:
 
 
 class TestOverlaidLaw:
-    # (sampling, initial, tau, alpha): the first draws N(3.16, 10^2), whose
-    # worst bin lies ~20 SE from the vacuum Gaussian centred at 0
+    # (law, initial, tau, alpha), with no --initial for vacuum records: the
+    # first draws N(3.16, 10^2), whose worst bin lies ~20 SE from the vacuum
+    # Gaussian centred at 0
     CASES = [
         ("conditional", "dipole+", 0.1, 10.0),
         ("conditional", "dipole-", 0.1, 10.0),
         ("conditional", "excited", 0.01, 100.0),
-        ("vacuum", "excited", 1e-3, 100.0),
+        ("vacuum", None, 1e-3, 100.0),
     ]
     # Bonferroni over 100 bins at a family-wise false-fail rate of 1e-3:
     # Phi^-1(1 - 1e-3 / 200)
     K = 4.42
 
     @staticmethod
-    def figure(tmp_path, sampling, initial, tau, alpha):
+    def figure(tmp_path, law, initial, tau, alpha):
         out = tmp_path / "h.svg"
-        argv = ["figure", "--kind", "record-histogram", "--sampling", sampling,
-                "--initial", initial, "--tau", str(tau), "--alpha", str(alpha), "--out", str(out)]
+        argv = ["figure", "--kind", "record-histogram", "--tau", str(tau), "--alpha", str(alpha),
+                *(["--initial", initial] if initial else []), "--out", str(out)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # gamma*tau = 0.1 warns
             assert main(argv) == 0
@@ -84,14 +85,13 @@ class TestOverlaidLaw:
     @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
     def test_every_bin_within_k_se_of_the_overlaid_curve(self, tmp_path, case):
         # the default 100,000 records in 100 bins, seed 0
-        sampling, initial, tau, alpha = case
+        law, initial, tau, alpha = case
         svg, params = self.figure(tmp_path, *case)
         n_records, bins = 100_000, 100
-        records = sample_records(
-            parse_initial(initial), params, SamplingMode(sampling), CounterStream(0, 0), n_records
-        )
+        state = parse_initial(initial) if initial else None
+        records = sample_records(state, params, SamplingMode(law), CounterStream(0, 0), n_records)
         counts, edges = np.histogram(records, bins, range=(-5.0 * alpha, 5.0 * alpha))
-        bars, curve = bar_heights(svg), curve_heights(svg, sampling)
+        bars, curve = bar_heights(svg), curve_heights(svg, law)
         # pixels a unit of density, from the tallest bar
         i = np.argmax(counts)
         scale = bars[i] * n_records * (edges[1] - edges[0]) / counts[i]
